@@ -172,15 +172,66 @@ def location_area_costs(
     )
 
 
-def _argmin(evaluate, lo: int, hi: int) -> int:
+def _argmin(values, lo: int) -> int:
+    """First parameter (``lo`` + index) whose cost beats every earlier
+    one by more than the searchers' 1e-15 strict-improvement rule."""
     best = lo
     best_value = math.inf
-    for parameter in range(lo, hi + 1):
-        value = evaluate(parameter).total_cost
+    for parameter, value in enumerate(values, start=lo):
         if value < best_value - 1e-15:
             best_value = value
             best = parameter
     return best
+
+
+def _movement_curve(
+    topology: CellTopology,
+    mobility: MobilityParams,
+    costs: CostParams,
+    max_threshold: int,
+) -> np.ndarray:
+    """Movement-scheme ``C_T`` for every ``M = 1..max_threshold``.
+
+    With ``W_k = r^k``, entry ``M - 1`` is
+    ``U q W_{M-1} / sum W + c V sum (W g) / sum W`` over ``k < M``:
+    :func:`movement_based_costs` for the whole axis from two cumulative
+    sums.
+    """
+    q, c = mobility.q, mobility.c
+    r = q / (q + c) if (q + c) > 0 else 0.0
+    count = max(max_threshold, 0)
+    weights = r ** np.arange(count, dtype=float)
+    coverage = np.array([topology.coverage(k) for k in range(count)], dtype=float)
+    mass = np.cumsum(weights)
+    paging = c * costs.poll_cost * np.cumsum(weights * coverage) / mass
+    return costs.update_cost * q * weights / mass + paging
+
+
+def _timer_curve(
+    topology: CellTopology,
+    mobility: MobilityParams,
+    costs: CostParams,
+    max_period: int,
+) -> np.ndarray:
+    """Timer-scheme ``C_T`` for every ``T = 1..max_period``.
+
+    With ``W_s = (1 - c)^s``, a call in slot ``s < T - 1`` pages
+    ``g(s + 1)`` and one in the last slot ``g(0)``:
+    :func:`time_based_costs` for the whole axis from cumulative sums.
+    """
+    c = mobility.c
+    count = max(max_period, 0)
+    weights = (1.0 - c) ** np.arange(count, dtype=float)
+    coverage = np.array(
+        [topology.coverage(s + 1) for s in range(count)], dtype=float
+    )
+    mass = np.cumsum(weights)
+    # sum_{s < T-1} W_s g(s+1): zero for T = 1, then a running sum.
+    paged = np.zeros(count)
+    paged[1:] = np.cumsum(weights[:-1] * coverage[:-1])
+    paged += weights * topology.coverage(0)
+    paging = c * costs.poll_cost * paged / mass
+    return costs.update_cost * weights / mass + paging
 
 
 def optimal_movement_threshold(
@@ -190,11 +241,8 @@ def optimal_movement_threshold(
     max_threshold: int = 100,
 ) -> BaselineCosts:
     """Best movement threshold ``M`` in ``1..max_threshold``."""
-    best = _argmin(
-        lambda M: movement_based_costs(topology, mobility, costs, M),
-        1,
-        max_threshold,
-    )
+    curve = _movement_curve(topology, mobility, costs, max_threshold)
+    best = _argmin(curve.tolist(), 1)
     return movement_based_costs(topology, mobility, costs, best)
 
 
@@ -205,9 +253,8 @@ def optimal_timer_period(
     max_period: int = 200,
 ) -> BaselineCosts:
     """Best timer period ``T`` in ``1..max_period``."""
-    best = _argmin(
-        lambda T: time_based_costs(topology, mobility, costs, T), 1, max_period
-    )
+    curve = _timer_curve(topology, mobility, costs, max_period)
+    best = _argmin(curve.tolist(), 1)
     return time_based_costs(topology, mobility, costs, best)
 
 
@@ -218,7 +265,8 @@ def optimal_la_radius(
     max_radius: int = 100,
 ) -> BaselineCosts:
     """Best LA size parameter ``n`` in ``0..max_radius``."""
-    best = _argmin(
-        lambda n: location_area_costs(topology, mobility, costs, n), 0, max_radius
-    )
-    return location_area_costs(topology, mobility, costs, best)
+    curve = [
+        location_area_costs(topology, mobility, costs, n).total_cost
+        for n in range(max_radius + 1)
+    ]
+    return location_area_costs(topology, mobility, costs, _argmin(curve, 0))

@@ -28,7 +28,9 @@ registration step
     beyond ``d'`` dropped; new rings appended as extra polling groups
     while the delay bound allows, else merged into the last group).
     The incumbent ``(d, plan)`` is one of the candidates, so this step
-    never worsens the cost either.
+    never worsens the cost either.  All candidates are scored in one
+    array pass (:meth:`_JointEvaluator.threshold_scan`); only the
+    winner's plan is built and re-scored on the scalar path.
 
 Convergence criterion (documented contract):
 
@@ -44,16 +46,16 @@ Convergence criterion (documented contract):
   count).
 
 Steady states come from the batched triangular solver of
-:mod:`repro.core.batch` (one solve covers every candidate threshold);
-models without threshold-invariant rates fall back to per-threshold
-scalar solves.
+:mod:`repro.core.batch` (one solve covers every candidate threshold and
+the distance-optimal initialization); models without
+threshold-invariant rates fall back to per-threshold scalar solves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -69,6 +71,7 @@ from ..core.parameters import (
     validate_delay,
     validate_threshold,
 )
+from ..core.optimizers import exhaustive_search
 from ..core.threshold import DEFAULT_MAX_THRESHOLD, find_optimal_threshold
 from ..exceptions import ParameterError
 from ..geometry import HexTopology, LineTopology, SquareTopology
@@ -190,10 +193,13 @@ def adapt_plan(plan: PagingPlan, d_new: int, m) -> PagingPlan:
 class _JointEvaluator:
     """Analytic ``C_T(d, plan)`` for arbitrary contiguous plans.
 
-    Steady states are served from one batched triangular solve
+    Holds the row-triangular steady-state matrix ``S`` (row ``d`` is
+    ``p_{0,d} .. p_{d,d}``), the cumulative coverage ``g`` and the
+    update cost ``C_u(d)`` of every threshold ``0..d_max``, all built
+    once.  ``S`` is one batched triangular solve
     (:func:`repro.core.batch.batched_steady_states`) when the model's
-    rates are threshold-invariant; otherwise each threshold's row is a
-    memoized scalar solve.  Update costs follow eqn (61) with the
+    rates are threshold-invariant; otherwise it is stacked from
+    per-threshold scalar solves.  Update costs follow eqn (61) with the
     requested boundary convention, paging costs eqns (62)-(65) with the
     plan's own grouping.
     """
@@ -205,41 +211,104 @@ class _JointEvaluator:
         self.costs = costs
         self.d_max = d_max
         self.convention = convention
-        self._rows: Dict[int, np.ndarray] = {}
-        self._steady = None
-        if getattr(model, "threshold_invariant_rates", False):
-            from ..core.batch import batched_steady_states  # deferred: heavy
+        self.threshold_invariant = getattr(model, "threshold_invariant_rates", False)
+        if self.threshold_invariant:
+            from ..core.batch import (  # deferred: heavy
+                batched_steady_states,
+                batched_update_rates,
+            )
 
-            self._steady = batched_steady_states(model, d_max)
+            self.steady = batched_steady_states(model, d_max)
+            rates = batched_update_rates(model, d_max, convention=convention)
+        else:
+            self.steady = np.zeros((d_max + 1, d_max + 1))
+            for d in range(d_max + 1):
+                self.steady[d, : d + 1] = model.steady_state(d)
+            rates = np.array(
+                [model.update_rate(d, convention=convention) for d in range(d_max + 1)]
+            )
         topology = model.topology
         self._ring_sizes = np.array(
             [topology.ring_size(i) for i in range(d_max + 1)], dtype=float
         )
+        self._coverage = np.cumsum(self._ring_sizes)
+        self._update = np.diagonal(self.steady) * rates * costs.update_cost
+        self._page_weight = model.c * costs.poll_cost
 
     def steady_row(self, d: int) -> np.ndarray:
-        if self._steady is not None:
-            return self._steady[d, : d + 1]
-        row = self._rows.get(d)
-        if row is None:
-            row = np.asarray(self.model.steady_state(d), dtype=float)
-            self._rows[d] = row
-        return row
+        return self.steady[d, : d + 1]
 
     def ring_sizes(self, d: int) -> np.ndarray:
         return self._ring_sizes[: d + 1]
 
+    def distance_optimum(self, m) -> Tuple[int, float]:
+        """The paper's optimum ``(d*, C_T(d*, m))`` under SDF paging.
+
+        Threshold-invariant models reuse ``S`` for the batched cost
+        surface, so the solver needs one steady-state solve in all;
+        other models take the scalar :func:`find_optimal_threshold`.
+        """
+        if not self.threshold_invariant:
+            solution = find_optimal_threshold(
+                self.model, self.costs, m, d_max=self.d_max, convention=self.convention
+            )
+            return solution.threshold, solution.total_cost
+        from ..core.batch import compute_cost_surface  # deferred: heavy
+
+        curve = compute_cost_surface(
+            self.model,
+            self.costs,
+            self.d_max,
+            delays=(m,),
+            convention=self.convention,
+            steady=self.steady,
+        ).total[0]
+        search = exhaustive_search(lambda d: float(curve[d]), self.d_max)
+        return search.optimal_threshold, search.optimal_cost
+
     def breakdown(self, d: int, plan: PagingPlan):
         """``(C_u, C_v, E[cells], E[delay])`` at ``(d, plan)``."""
-        p = self.steady_row(d)
-        rate = self.model.update_rate(d, convention=self.convention)
-        update = float(p[d]) * rate * self.costs.update_cost
-        cells = plan.expected_polled_cells(self.model.topology, p)
-        paging = self.model.c * self.costs.poll_cost * cells
-        return update, paging, cells, plan.expected_delay(p)
+        update, paging, cells = self._components(d, plan)
+        return update, paging, cells, plan.expected_delay(self.steady_row(d))
 
     def total_cost(self, d: int, plan: PagingPlan) -> float:
-        update, paging, _, _ = self.breakdown(d, plan)
+        update, paging, _ = self._components(d, plan)
         return update + paging
+
+    def _components(self, d: int, plan: PagingPlan):
+        cells = plan.expected_polled_cells(self.model.topology, self.steady_row(d))
+        return float(self._update[d]), self._page_weight * cells, cells
+
+    def threshold_scan(self, plan: PagingPlan, m) -> np.ndarray:
+        """``C_T(d', adapt_plan(plan, d', m))`` for every ``d' = 0..d_max``.
+
+        One array pass; no candidate plan is built.  Every
+        ring of every candidate is mapped to the outermost ring of its
+        adapted polling group, ``E[d', i]``, so the expected polled
+        cells are ``sum_i S[d', i] g(E[d', i])``.  The map follows
+        :func:`adapt_plan`: shrinking clips each incumbent group end to
+        ``d'``; growing keeps the incumbent's ends, gives the next
+        ``cap(d') - l`` new rings singleton groups and ends every
+        remaining ring -- plus the incumbent's last group when no slot
+        is free -- at ``d'``.  Entries beyond ``d'`` multiply zeros of
+        ``S``.  Costs agree with the scalar path to rounding; callers
+        re-evaluate the chosen candidate with :meth:`total_cost`.
+        """
+        d = plan.threshold
+        sizes = _plan_sizes(plan)
+        rings = np.arange(self.d_max + 1)
+        ends = rings.copy()
+        ends[: d + 1] = np.repeat(np.cumsum(sizes) - 1, sizes)
+        # Place of each ring in the grown tail: 0 for the incumbent's
+        # last group, i - d for a new ring, -1 for rings never merged.
+        tail = np.where(rings > d, rings - d, np.where(ends == d, 0, -1))
+        cap = rings + 1 if m == math.inf else np.minimum(rings + 1, int(m))
+        free = cap - len(sizes)
+        candidates = rings[:, np.newaxis]
+        merged = (candidates > d) & (tail >= free[:, np.newaxis])
+        group_ends = np.where(merged, candidates, np.minimum(ends, candidates))
+        cells = (self.steady * self._coverage[group_ends]).sum(axis=1)
+        return self._update + self._page_weight * cells
 
 
 def optimize_joint_policy(
@@ -281,12 +350,10 @@ def optimize_joint_policy(
     if not (tol >= 0.0):
         raise ParameterError(f"tol must be >= 0, got {tol}")
 
-    baseline = find_optimal_threshold(
-        model, costs, m, d_max=d_max, convention=convention
-    )
     evaluator = _JointEvaluator(model, costs, d_max, convention)
+    baseline_threshold, baseline_cost = evaluator.distance_optimum(m)
 
-    d = baseline.threshold
+    d = baseline_threshold
     plan = sdf_partition(d, m)
     cost = evaluator.total_cost(d, plan)
     history = [JointIteration(0, d, plan, cost)]
@@ -301,19 +368,18 @@ def optimize_joint_policy(
         if candidate_cost < cost:  # monotonicity guard
             plan, cost = candidate, candidate_cost
 
-        # Registration step: scan thresholds with the plan held fixed
-        # (adapted to each candidate's ring count).  Ascending scan with
-        # a strict-improvement tie tolerance reproduces the distance
-        # searcher's tie-breaking on degenerate instances.
-        best_d, best_plan, best_cost = d, plan, cost
-        for d_new in range(d_max + 1):
-            if d_new == d:
-                continue
-            trial_plan = adapt_plan(plan, d_new, m)
-            trial_cost = evaluator.total_cost(d_new, trial_plan)
-            if trial_cost < best_cost - _TIE_TOLERANCE:
-                best_d, best_plan, best_cost = d_new, trial_plan, trial_cost
-        d, plan = best_d, best_plan
+        # Registration step: score every threshold with the plan held
+        # fixed (adapted to each candidate's ring count) in one array
+        # pass.  Ascending scan with a strict-improvement tie tolerance
+        # reproduces the distance searcher's tie-breaking on degenerate
+        # instances; the winner is re-scored on the scalar path.
+        best_d, best_cost = d, cost
+        for d_new, trial_cost in enumerate(evaluator.threshold_scan(plan, m).tolist()):
+            if d_new != d and trial_cost < best_cost - _TIE_TOLERANCE:
+                best_d, best_cost = d_new, trial_cost
+        if best_d != d:
+            d, plan = best_d, adapt_plan(plan, best_d, m)
+            best_cost = evaluator.total_cost(d, plan)
         improvement = cost - best_cost
         cost = min(cost, best_cost)  # guard: never record an increase
         history.append(JointIteration(sweep, d, plan, cost))
@@ -332,8 +398,8 @@ def optimize_joint_policy(
         expected_delay=delay,
         history=tuple(history),
         converged=converged,
-        baseline_threshold=baseline.threshold,
-        baseline_cost=baseline.total_cost,
+        baseline_threshold=baseline_threshold,
+        baseline_cost=baseline_cost,
     )
 
 

@@ -5,6 +5,10 @@ implemented simulation strategies -- lives in the integration suite;
 these tests cover the formulas, edge cases, and qualitative orderings.
 """
 
+import math
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro import (
@@ -20,6 +24,7 @@ from repro import (
     optimal_timer_period,
     time_based_costs,
 )
+from repro.core.baselines import _movement_curve, _timer_curve
 from repro.geometry import HexTopology, LineTopology, SquareTopology
 
 MOBILITY = MobilityParams(0.2, 0.02)
@@ -149,3 +154,84 @@ class TestOptimalParameters:
     def test_total_is_sum(self):
         result = movement_based_costs(HEX, MOBILITY, COSTS, 4)
         assert result.total_cost == result.update_cost + result.paging_cost
+
+
+def _callback_argmin(evaluate, lo, hi):
+    """The per-parameter scan the cost-vector ``_argmin`` replaced."""
+    best, best_value = lo, math.inf
+    for parameter in range(lo, hi + 1):
+        value = evaluate(parameter).total_cost
+        if value < best_value - 1e-15:
+            best_value, best = value, parameter
+    return best
+
+
+# Duck-typed (q, c) so the edges MobilityParams rejects (q = 0, c = 1)
+# are reachable: the closed forms only read .q and .c.
+EDGE_MOBILITIES = [
+    SimpleNamespace(q=0.2, c=0.02),
+    SimpleNamespace(q=0.005, c=0.1),
+    SimpleNamespace(q=0.9, c=0.0005),
+    SimpleNamespace(q=0.3, c=0.0),
+    SimpleNamespace(q=0.0, c=0.05),
+    SimpleNamespace(q=0.0, c=0.0),
+    SimpleNamespace(q=0.0, c=1.0),
+]
+TOPOLOGIES = [LINE, HEX, SquareTopology()]
+
+
+class TestVectorizedCurves:
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=["line", "hex", "square"])
+    @pytest.mark.parametrize("mobility", EDGE_MOBILITIES, ids=str)
+    def test_curves_match_closed_forms(self, topology, mobility):
+        for costs in (COSTS, CostParams(1000.0, 1.0), CostParams(1.0, 10.0)):
+            movement = _movement_curve(topology, mobility, costs, 60)
+            timer = _timer_curve(topology, mobility, costs, 120)
+            np.testing.assert_allclose(
+                movement,
+                [movement_based_costs(topology, mobility, costs, M).total_cost
+                 for M in range(1, 61)],
+                rtol=1e-12, atol=0.0,
+            )
+            np.testing.assert_allclose(
+                timer,
+                [time_based_costs(topology, mobility, costs, T).total_cost
+                 for T in range(1, 121)],
+                rtol=1e-12, atol=0.0,
+            )
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=["line", "hex", "square"])
+    @pytest.mark.parametrize("mobility", EDGE_MOBILITIES, ids=str)
+    def test_winners_match_callback_scan(self, topology, mobility):
+        for costs in (COSTS, CostParams(1000.0, 1.0), CostParams(1.0, 10.0)):
+            for bound in (1, 7, 100):
+                assert optimal_movement_threshold(
+                    topology, mobility, costs, max_threshold=bound
+                ) == movement_based_costs(topology, mobility, costs, _callback_argmin(
+                    lambda M: movement_based_costs(topology, mobility, costs, M), 1, bound
+                ))
+                assert optimal_timer_period(
+                    topology, mobility, costs, max_period=2 * bound
+                ) == time_based_costs(topology, mobility, costs, _callback_argmin(
+                    lambda T: time_based_costs(topology, mobility, costs, T), 1, 2 * bound
+                ))
+                assert optimal_la_radius(
+                    topology, mobility, costs, max_radius=bound
+                ) == location_area_costs(topology, mobility, costs, _callback_argmin(
+                    lambda n: location_area_costs(topology, mobility, costs, n), 0, bound
+                ))
+
+    def test_ties_go_to_the_first_parameter(self):
+        # q = 0: the walker never moves, every M costs c V g(0).
+        still = SimpleNamespace(q=0.0, c=0.05)
+        assert optimal_movement_threshold(HEX, still, COSTS).parameter == 1
+        # c = 1: a call every slot; every T >= 2 costs V g(1) exactly,
+        # below T = 1's U + V g(0).
+        always = SimpleNamespace(q=0.0, c=1.0)
+        curve = _timer_curve(HEX, always, COSTS, 10)
+        assert np.all(curve[1:] == curve[1])
+        assert optimal_timer_period(HEX, always, COSTS, max_period=10).parameter == 2
+
+    def test_empty_range_keeps_the_lower_bound(self):
+        assert optimal_movement_threshold(HEX, MOBILITY, COSTS, max_threshold=0).parameter == 1
+        assert optimal_timer_period(HEX, MOBILITY, COSTS, max_period=0).parameter == 1
