@@ -83,20 +83,16 @@ from ..paging import sdf_partition
 from ..persist import atomic_write_json
 from ..workload.profiles import Population
 from .kernels import (
-    _INV53,
-    _S11,
     STREAM_CALL as _STREAM_CALL,
-    STREAM_DIRECTION as _STREAM_DIRECTION,
     STREAM_EVENT as _STREAM_EVENT,
     compiled_kernels,
-    counter_uniforms as _counter_uniforms,
-    mix64 as _mix64,
-    slot_key as _slot_key,
+    counter_below as _counter_below,
     terminal_keys as _terminal_keys,
     topology_code,
+    unit_bound as _unit_bound,
 )
 from .runner import _resolve_workers
-from .vectorized import _EVENT_MODES, _Z95, _lattice_kernel
+from .vectorized import _EVENT_MODES, _Z95, _lattice_kernel, _move_columns
 
 __all__ = [
     "FleetSpec",
@@ -148,6 +144,50 @@ def _json_delay(m) -> object:
     return "inf" if m == math.inf else m
 
 
+def _validate_columns(
+    owner: str,
+    n_profiles: int,
+    q: np.ndarray,
+    c: np.ndarray,
+    update_cost: np.ndarray,
+    poll_cost: np.ndarray,
+    threshold: np.ndarray,
+    profile_index: np.ndarray,
+) -> None:
+    """Reject per-terminal columns a fleet cannot simulate.
+
+    NaN slips through every ordered comparison, so finiteness is
+    checked explicitly: a NaN probability would silently freeze its
+    terminal, and the integer event bounds are undefined for it.
+    """
+    count = q.shape[0]
+    columns = {
+        "c": c, "update_cost": update_cost, "poll_cost": poll_cost,
+        "threshold": threshold, "profile_index": profile_index,
+    }
+    for name, column in columns.items():
+        if column.shape != (count,):
+            raise ParameterError(
+                f"{owner} column {name!r} has shape {column.shape}, "
+                f"expected ({count},)"
+            )
+    for name, column in (("q", q), ("c", c), ("update_cost", update_cost),
+                         ("poll_cost", poll_cost)):
+        if not np.all(np.isfinite(column)):
+            raise ParameterError(f"{owner} column {name!r} must be finite")
+    if np.any(q <= 0) or np.any(c < 0) or np.any(q + c > 1.0):
+        raise ParameterError(
+            "per-terminal mobility out of range: need q > 0, c >= 0, "
+            "q + c <= 1 for every terminal"
+        )
+    if np.any(update_cost < 0) or np.any(poll_cost < 0):
+        raise ParameterError("per-terminal costs must be >= 0")
+    if np.any(threshold < 0):
+        raise ParameterError("per-terminal thresholds must be >= 0")
+    if np.any(profile_index < 0) or np.any(profile_index >= n_profiles):
+        raise ParameterError("profile_index out of range for profile_names")
+
+
 @dataclass(frozen=True)
 class FleetSpec:
     """A heterogeneous population as per-terminal parameter columns.
@@ -175,29 +215,12 @@ class FleetSpec:
 
     def __post_init__(self) -> None:
         validate_delay(self.max_delay)
-        count = self.q.shape[0]
-        if count < 1:
+        if self.q.shape[0] < 1:
             raise ParameterError("FleetSpec needs at least one terminal")
-        for name in ("c", "update_cost", "poll_cost", "threshold", "profile_index"):
-            column = getattr(self, name)
-            if column.shape != (count,):
-                raise ParameterError(
-                    f"FleetSpec column {name!r} has shape {column.shape}, "
-                    f"expected ({count},)"
-                )
-        if np.any(self.q <= 0) or np.any(self.c < 0) or np.any(self.q + self.c > 1.0):
-            raise ParameterError(
-                "per-terminal mobility out of range: need q > 0, c >= 0, "
-                "q + c <= 1 for every terminal"
-            )
-        if np.any(self.update_cost < 0) or np.any(self.poll_cost < 0):
-            raise ParameterError("per-terminal costs must be >= 0")
-        if np.any(self.threshold < 0):
-            raise ParameterError("per-terminal thresholds must be >= 0")
-        if np.any(self.profile_index < 0) or np.any(
-            self.profile_index >= len(self.profile_names)
-        ):
-            raise ParameterError("profile_index out of range for profile_names")
+        _validate_columns(
+            "FleetSpec", len(self.profile_names),
+            **{name: getattr(self, name) for name in _SPEC_COLUMNS},
+        )
 
     @property
     def count(self) -> int:
@@ -586,7 +609,6 @@ class FleetShardEngine:
         self.global_offset = int(global_offset)
         self._q = np.ascontiguousarray(q, dtype=np.float64)
         self._c = np.ascontiguousarray(c, dtype=np.float64)
-        self._qc = self._q + self._c
         self._update_cost = np.ascontiguousarray(update_cost, dtype=np.float64)
         self._poll_cost = np.ascontiguousarray(poll_cost, dtype=np.float64)
         self._threshold = np.ascontiguousarray(threshold, dtype=np.int64)
@@ -595,8 +617,18 @@ class FleetShardEngine:
         self.n_profiles = int(n_profiles)
         if self.terminals < 1:
             raise ParameterError("shard needs at least one terminal")
+        _validate_columns(
+            "FleetShardEngine", self.n_profiles, self._q, self._c,
+            self._update_cost, self._poll_cost, self._threshold, self._profile,
+        )
+        # Integer event bounds (see kernels.unit_bound): exclusive mode
+        # draws one event stream against q + c and splits it at c;
+        # independent mode draws moves against q and calls against c.
+        self._call_bound = _unit_bound(self._c)
+        self._event_bound = _unit_bound(
+            self._q + self._c if event_mode == "exclusive" else self._q
+        )
         self._dirs, self._distance = _lattice_kernel(topology)
-        self._degree = int(self._dirs.shape[0])
         # Per-terminal paging plans, grouped into (d, m) classes: row i
         # of the lookup tables serves every terminal whose threshold is
         # unique_d[i].  ring -> 0-based polling cycle, and cycle ->
@@ -624,6 +656,7 @@ class FleetShardEngine:
         # Hash keys of the *global* terminal indices, fixed once.
         self._idx_keys = _terminal_keys(self.global_offset, self.terminals)
         self._pos = np.zeros((self.terminals, self._dirs.shape[1]), dtype=np.int64)
+        self._cols = tuple(self._pos.T)
         self.slot = 0
         self.reset_meters()
 
@@ -640,10 +673,6 @@ class FleetShardEngine:
         self._cost_sum = 0.0
         self._cost_sq_sum = 0.0
         self._delay_counts = np.zeros(self.max_cycles, dtype=np.int64)
-
-    def _uniforms(self, stream: int, slot: int) -> np.ndarray:
-        """One U(0,1) per terminal for ``(stream, slot)``, layout-free."""
-        return _counter_uniforms(self._idx_keys, self.seed, stream, slot)
 
     def run(self, slots: int) -> None:
         """Advance every terminal in the shard ``slots`` slots."""
@@ -668,7 +697,7 @@ class FleetShardEngine:
             np.int64(slots),
             self._q,
             self._c,
-            self._qc,
+            self._q + self._c,
             self._threshold,
             self._update_cost,
             self._poll_cost,
@@ -687,55 +716,60 @@ class FleetShardEngine:
         self.slot += slots
 
     def _step(self) -> None:
+        """One slot: hash every terminal once, then touch only events.
+
+        The event draw ``u < p`` is tested as ``(h >> 11) < unit_bound(p)``
+        (exact, see kernels.unit_bound), so callers and movers come out
+        as ascending index arrays and idle terminals cost one hash.
+        """
         t = self.slot
-        u = self._uniforms(_STREAM_EVENT, t)
-        called = u < self._c
+        events, draws = _counter_below(
+            self._idx_keys, self.seed, _STREAM_EVENT, t, self._event_bound
+        )
         if self.event_mode == "exclusive":
-            moved = (~called) & (u < self._qc)
+            call = draws < self._call_bound[events]
+            callers, movers = events[call], events[~call]
         else:
-            moved = u < self._q
-            called = self._uniforms(_STREAM_CALL, t) < self._c
+            movers = events
+            callers, _ = _counter_below(
+                self._idx_keys, self.seed, _STREAM_CALL, t, self._call_bound
+            )
         slot_cost = 0.0
         # Calls first -- the same within-slot order as the per-cell and
         # vectorized engines.
-        if called.any():
-            slot_cost += self._handle_calls(called)
-        if moved.any():
-            slot_cost += self._handle_moves(moved, t)
+        if callers.size:
+            slot_cost += self._handle_calls(callers)
+        if movers.size:
+            slot_cost += self._handle_moves(movers, t)
         self._cost_sum += slot_cost
         self._cost_sq_sum += slot_cost * slot_cost
         self._metered_slots += 1
         self.slot += 1
 
-    def _handle_calls(self, called: np.ndarray) -> float:
-        rings = self._distance(self._pos[called])
-        classes = self._class_idx[called]
+    def _handle_calls(self, callers: np.ndarray) -> float:
+        rings = self._distance([col[callers] for col in self._cols])
+        classes = self._class_idx[callers]
         cycles = self._ring_to_cycle[classes, rings]
         polled = self._cum_polled[classes, cycles]
-        self._calls[called] += 1
-        self._polled[called] += polled
-        np.add.at(self._delay_counts, cycles, 1)
-        cost = float(self._poll_cost[called] @ polled)
+        self._calls[callers] += 1
+        self._polled[callers] += polled
+        self._delay_counts += np.bincount(cycles, minlength=self.max_cycles)
+        cost = float(self._poll_cost[callers] @ polled)
         # Pinpointed terminals re-center: relative position resets.
-        self._pos[called] = 0
+        for col in self._cols:
+            col[callers] = 0
         return cost
 
-    def _handle_moves(self, moved: np.ndarray, slot: int) -> float:
-        movers = np.nonzero(moved)[0]
-        h = _mix64(self._idx_keys[movers] ^ _slot_key(self.seed, _STREAM_DIRECTION, slot))
-        directions = (
-            (h >> _S11).astype(np.float64) * _INV53 * self._degree
-        ).astype(np.int64)
-        self._pos[movers] += self._dirs[directions]
+    def _handle_moves(self, movers: np.ndarray, slot: int) -> float:
+        updating = _move_columns(
+            self._cols, self._dirs, self._distance, self._idx_keys,
+            self.seed, slot, movers, self._threshold[movers],
+        )
         self._moves[movers] += 1
-        distances = self._distance(self._pos[movers])
-        updating = movers[distances > self._threshold[movers]]
-        cost = 0.0
-        if updating.size:
-            self._updates[updating] += 1
-            cost = float(self._update_cost[updating].sum())
-            self._pos[updating] = 0
-        return cost
+        if not updating.size:
+            return 0.0
+        self._updates[updating] += 1
+        return float(self._update_cost[updating].sum())
 
     # ------------------------------------------------------------------
 

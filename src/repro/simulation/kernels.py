@@ -16,18 +16,24 @@ the jit-compiled ports of the two hot step loops:
 Bit-identity contract
 ---------------------
 
-Each compiled kernel is a line-by-line port of the NumPy counter-mode
-step in its engine: the same hash per ``(seed, stream, slot, global
-terminal index)``, the same within-slot order (calls before moves), and
-the same per-terminal float arithmetic (``V * polled`` then ``+ U``).
+The NumPy counter-mode steps are *event-sparse*: per slot they hash
+every terminal once (:func:`counter_below`, in cache-sized chunks),
+keep the ascending indices whose 53-bit draw falls below an integer
+:func:`unit_bound` -- exactly the terminals with ``u < p`` -- and touch
+only those callers and movers.  Each compiled kernel visits every
+terminal instead, but evaluates the same predicates: the same hash per
+``(seed, stream, slot, global terminal index)``, the same within-slot
+order (calls before moves), and the same per-terminal float arithmetic
+(``V * polled`` then ``+ U``; an idle terminal adds an exact ``0.0``).
 Integer meters (moves, updates, calls, polled cells, delay histograms)
 and the per-terminal cost accumulators of the homogeneous kernel are
 therefore **bit-identical** between the compiled and NumPy executions.
 The one documented exception: the fleet kernel accumulates its
 *shard-level* per-slot cost scalars terminal-by-terminal, while the
-NumPy path uses dot products -- summation order differs, so those two
-floats (and nothing else -- snapshot cost totals are recomputed from
-the integer counters) agree to ~1e-12 relative rather than exactly.
+NumPy path uses dot products over the ascending callers and updaters --
+summation order differs, so those two floats (and nothing else --
+snapshot cost totals are recomputed from the integer counters) agree
+to ~1e-12 relative rather than exactly.
 
 numba is optional.  Importing this module never imports numba; the
 compiled kernels are built lazily on first request (one ``kernel
@@ -57,7 +63,9 @@ __all__ = [
     "STREAM_EVENT",
     "STREAM_RESIDENCE",
     "STREAM_RESIDENCE_BRANCH",
+    "COUNTER_CHUNK",
     "compiled_kernels",
+    "counter_below",
     "counter_uniforms",
     "drifted_directions",
     "kernel_compile_info",
@@ -65,6 +73,7 @@ __all__ = [
     "slot_key",
     "terminal_keys",
     "topology_code",
+    "unit_bound",
 ]
 
 # -- stateless counter-based randomness --------------------------------
@@ -128,6 +137,62 @@ def counter_uniforms(
     """One U(0,1) per terminal for ``(stream, slot)``, layout-free."""
     h = mix64(idx_keys ^ slot_key(seed, stream, slot))
     return (h >> _S11).astype(np.float64) * _INV53
+
+
+#: Terminals hashed per pass of :func:`counter_below`: two uint64
+#: buffers and a mask of this length (544 KiB) stay cache-resident
+#: while the hash runs in place over them.
+COUNTER_CHUNK = 32768
+
+
+def unit_bound(p) -> np.ndarray:
+    """Integer threshold on 53-bit draws equivalent to ``u < p``.
+
+    A counter uniform is ``u = (h >> 11) * 2**-53`` -- an exact float --
+    and scaling ``p`` by ``2**53`` is exact too, so for every 53-bit
+    ``x``: ``x * 2**-53 < p`` holds exactly when ``x < ceil(p * 2**53)``.
+    ``p`` is clipped to ``[0, 1]``, so the bound fits in ``[0, 2**53]``.
+    """
+    return np.ceil(np.clip(p, 0.0, 1.0) * 2.0**53).astype(np.uint64)
+
+
+def counter_below(
+    idx_keys: np.ndarray, seed: int, stream: int, slot: int, bound
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Terminals whose ``(stream, slot)`` draw falls below ``bound``.
+
+    ``bound`` is a :func:`unit_bound` scalar or one per key.  Hashes
+    ``COUNTER_CHUNK`` keys at a time into reused buffers and returns
+    the ascending indices with their 53-bit draws ``h >> 11``: the
+    terminals with ``counter_uniforms(...) < p``, and their uniforms
+    times ``2**53``.
+    """
+    K = idx_keys.shape[0]
+    key = slot_key(seed, stream, slot)
+    per_key = np.ndim(bound) > 0
+    n = min(K, COUNTER_CHUNK)
+    h = np.empty(n, dtype=np.uint64)
+    tmp = np.empty(n, dtype=np.uint64)
+    hit = np.empty(n, dtype=bool)
+    indices: list = []
+    draws: list = []
+    for lo in range(0, K, COUNTER_CHUNK):
+        hi = min(lo + COUNTER_CHUNK, K)
+        x, t, m = h[: hi - lo], tmp[: hi - lo], hit[: hi - lo]
+        np.bitwise_xor(idx_keys[lo:hi], key, out=x)
+        for shift, mult in ((_S30, _MIX_A), (_S27, _MIX_B)):
+            np.right_shift(x, shift, out=t)
+            x ^= t
+            x *= mult
+        np.right_shift(x, _S31, out=t)
+        x ^= t
+        x >>= _S11
+        np.less(x, bound[lo:hi] if per_key else bound, out=m)
+        rows = np.flatnonzero(m)
+        draws.append(x[rows])
+        rows += lo
+        indices.append(rows)
+    return np.concatenate(indices), np.concatenate(draws)
 
 
 def drifted_directions(

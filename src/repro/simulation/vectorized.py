@@ -76,12 +76,14 @@ from .kernels import (
     STREAM_RESIDENCE,
     STREAM_RESIDENCE_BRANCH,
     compiled_kernels,
+    counter_below,
     counter_uniforms,
     drifted_directions,
     mix64,
     slot_key,
     terminal_keys,
     topology_code,
+    unit_bound,
 )
 from .metrics import MeterSnapshot
 from .runner import ReplicatedResult
@@ -103,28 +105,58 @@ def _lattice_kernel(topology: CellTopology) -> Tuple[np.ndarray, callable]:
     """Direction vectors and a vectorized ring-distance function.
 
     Returns ``(directions, distance)`` where ``directions`` has shape
-    ``(degree, dims)`` and ``distance`` maps an ``(K, dims)`` array of
-    center-relative coordinates to ``(K,)`` ring distances.
+    ``(degree, dims)`` and ``distance`` maps center-relative coordinate
+    *columns* -- a ``(dims, K)`` array such as ``pos.T``, or a sequence
+    of ``dims`` length-``K`` arrays -- to ``(K,)`` ring distances.
     """
     if isinstance(topology, LineTopology):
         dirs = np.array([[-1], [1]], dtype=np.int64)
-        return dirs, lambda pos: np.abs(pos[:, 0])
+        return dirs, lambda cols: np.abs(cols[0])
     if isinstance(topology, HexTopology):
         dirs = np.array(AXIAL_DIRECTIONS, dtype=np.int64)
 
-        def hex_distance(pos: np.ndarray) -> np.ndarray:
-            q, r = pos[:, 0], pos[:, 1]
+        def hex_distance(cols) -> np.ndarray:
+            q, r = cols[0], cols[1]
             return (np.abs(q) + np.abs(r) + np.abs(q + r)) // 2
 
         return dirs, hex_distance
     if isinstance(topology, SquareTopology):
         dirs = np.array(SQUARE_DIRECTIONS, dtype=np.int64)
-        return dirs, lambda pos: np.abs(pos[:, 0]) + np.abs(pos[:, 1])
+        return dirs, lambda cols: np.abs(cols[0]) + np.abs(cols[1])
     raise ParameterError(
         f"VectorizedDistanceEngine supports LineTopology, HexTopology, and "
         f"SquareTopology; got {topology!r} -- use SimulationEngine for "
         "other geometries"
     )
+
+
+def _move_columns(
+    cols: Tuple[np.ndarray, ...],
+    dirs: np.ndarray,
+    distance,
+    idx_keys: np.ndarray,
+    seed: int,
+    slot: int,
+    movers: np.ndarray,
+    threshold,
+) -> np.ndarray:
+    """Step ``movers`` one counter-drawn direction; return the updaters.
+
+    ``cols`` are the per-coordinate column views of a ``(K, dims)``
+    position array and ``movers`` ascending terminal indices.  Each
+    mover's direction is ``floor(u * degree)`` of its ``STREAM_DIRECTION``
+    uniform; movers past ``threshold`` (scalar or one per mover) are
+    the returned updaters, and their positions reset to the origin.
+    """
+    h = mix64(idx_keys[movers] ^ slot_key(seed, STREAM_DIRECTION, slot))
+    unit = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    directions = (unit * float(dirs.shape[0])).astype(np.int64)
+    moved = [col[movers] + step[directions] for col, step in zip(cols, dirs.T)]
+    over = distance(moved) > threshold
+    for col, coord in zip(cols, moved):
+        coord[over] = 0
+        col[movers] = coord
+    return movers[over]
 
 
 class VectorizedDistanceEngine:
@@ -223,6 +255,10 @@ class VectorizedDistanceEngine:
                 )
             self._seed = int(seed)
             self._idx_keys = terminal_keys(0, self.terminals)
+            c = mobility.call_probability
+            q = mobility.move_probability
+            self._call_bound = unit_bound(c)
+            self._move_bound = unit_bound(c + q if event_mode == "exclusive" else q)
         self.rng = np.random.default_rng(seed)
         if plan is not None and plan.threshold != self.threshold:
             raise ParameterError(
@@ -244,6 +280,7 @@ class VectorizedDistanceEngine:
         # Center-relative positions: the whole batch starts freshly
         # fixed at its (arbitrary) start cells.
         self._pos = np.zeros((self.terminals, self._dirs.shape[1]), dtype=np.int64)
+        self._cols = tuple(self._pos.T)
         if walk is not None:
             degree = self._dirs.shape[0]
             if walk.drift_direction >= degree:
@@ -515,18 +552,24 @@ class VectorizedDistanceEngine:
         self.slot += 1
 
     def _handle_calls(self, called: np.ndarray, slot_cost: np.ndarray) -> None:
-        rings = self._distance(self._pos[called])
+        callers = np.flatnonzero(called)
+        slot_cost[callers] += self.costs.poll_cost * self._page(callers)
+
+    def _page(self, callers: np.ndarray) -> np.ndarray:
+        """Page the ascending ``callers``; return their polled-cell counts."""
+        rings = self._distance([col[callers] for col in self._cols])
         if self._ring_hits is not None:
-            np.add.at(self._ring_hits, rings, 1)
+            self._ring_hits += np.bincount(rings, minlength=self.threshold + 1)
         cycles = self._ring_to_cycle[rings]
         polled = self._cumulative_polled[cycles]
-        self._calls[called] += 1
-        self._polled_cells[called] += polled
-        np.add.at(self._delay_counts, (np.nonzero(called)[0], cycles), 1)
-        slot_cost[called] += self.costs.poll_cost * polled
+        self._calls[callers] += 1
+        self._polled_cells[callers] += polled
+        self._delay_counts[callers, cycles] += 1
         # The network pinpointed these terminals: their cells become the
         # new centers, i.e. the relative position resets to the origin.
-        self._pos[called] = 0
+        for col in self._cols:
+            col[callers] = 0
+        return polled
 
     def _handle_moves(self, moved: np.ndarray, slot_cost: np.ndarray) -> None:
         steps = self._dirs[
@@ -537,7 +580,7 @@ class VectorizedDistanceEngine:
         # Threshold test on the movers only; crossing the residing-area
         # boundary triggers an update and re-centers the terminal.
         updating = moved.copy()
-        updating[moved] = self._distance(self._pos[moved]) > self.threshold
+        updating[moved] = self._distance(self._pos[moved].T) > self.threshold
         if updating.any():
             self._updates[updating] += 1
             slot_cost[updating] += self.costs.update_cost
@@ -550,49 +593,45 @@ class VectorizedDistanceEngine:
 
         Same hashes, same within-slot order (calls then moves), and the
         same per-terminal float arithmetic as
-        ``kernels.homogeneous_step``, so every meter -- including the
-        float cost accumulators -- matches the compiled execution bit
-        for bit.
+        ``kernels.homogeneous_step`` (``V * polled``, then ``+ U``), so
+        every meter -- including the float cost accumulators -- matches
+        the compiled execution bit for bit.  Only terminals with an
+        event are touched: an idle terminal's slot cost is ``0.0``, and
+        adding it to the accumulators is exact.
         """
-        c = self.mobility.call_probability
-        q = self.mobility.move_probability
-        u = counter_uniforms(self._idx_keys, self._seed, STREAM_EVENT, self.slot)
-        if self.event_mode == "exclusive":
-            called = u < c
-            moved = (~called) & (u < c + q)
-        else:
-            moved = u < q
-            called = (
-                counter_uniforms(self._idx_keys, self._seed, STREAM_CALL, self.slot)
-                < c
-            )
-        slot_cost = np.zeros(self.terminals, dtype=np.float64)
-        if called.any():
-            self._handle_calls(called, slot_cost)
-        if moved.any():
-            self._handle_moves_counter(moved, slot_cost)
-        self._cost_sum += slot_cost
-        self._cost_sq_sum += slot_cost * slot_cost
-        self._metered_slots += 1
-        self.slot += 1
-
-    def _handle_moves_counter(
-        self, moved: np.ndarray, slot_cost: np.ndarray
-    ) -> None:
-        movers = np.nonzero(moved)[0]
-        h = mix64(
-            self._idx_keys[movers]
-            ^ slot_key(self._seed, STREAM_DIRECTION, self.slot)
+        t = self.slot
+        events, draws = counter_below(
+            self._idx_keys, self._seed, STREAM_EVENT, t, self._move_bound
         )
-        unit = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        directions = (unit * float(self._dirs.shape[0])).astype(np.int64)
-        self._pos[movers] += self._dirs[directions]
+        if self.event_mode == "exclusive":
+            call = draws < self._call_bound
+            callers, movers = events[call], events[~call]
+        else:
+            movers = events
+            callers, _ = counter_below(
+                self._idx_keys, self._seed, STREAM_CALL, t, self._call_bound
+            )
+        rows = callers
+        cost = self.costs.poll_cost * self._page(callers)
+        updating = _move_columns(
+            self._cols, self._dirs, self._distance, self._idx_keys,
+            self._seed, t, movers, self.threshold,
+        )
         self._moves[movers] += 1
-        updating = movers[self._distance(self._pos[movers]) > self.threshold]
         if updating.size:
             self._updates[updating] += 1
-            slot_cost[updating] += self.costs.update_cost
-            self._pos[updating] = 0
+            U = self.costs.update_cost
+            # Independent mode lets a terminal call and update in one
+            # slot; its slot cost is then ``V * polled + U``.
+            both = np.isin(callers, updating, assume_unique=True)
+            cost[both] += U
+            only = updating[~np.isin(updating, callers, assume_unique=True)]
+            rows = np.concatenate((rows, only))
+            cost = np.concatenate((cost, np.full(only.size, U, dtype=np.float64)))
+        self._cost_sum[rows] += cost
+        self._cost_sq_sum[rows] += cost * cost
+        self._metered_slots += 1
+        self.slot += 1
 
     # -- timed (CTRW) mobility on the counter RNG -------------------------
 
@@ -644,7 +683,7 @@ class VectorizedDistanceEngine:
             counter_uniforms(keys, self._seed, STREAM_RESIDENCE_BRANCH, self.slot),
             counter_uniforms(keys, self._seed, STREAM_RESIDENCE, self.slot),
         )
-        updating = movers[self._distance(self._pos[movers]) > self.threshold]
+        updating = movers[self._distance(self._pos[movers].T) > self.threshold]
         if updating.size:
             self._updates[updating] += 1
             slot_cost[updating] += self.costs.update_cost
@@ -697,7 +736,7 @@ def replay_trace_meters(
     for cell, call in trace.steps:
         slot_cost = 0.0
         if call:
-            ring = int(distance(pos)[0])
+            ring = int(distance(pos.T)[0])
             if ring > threshold:
                 raise ParameterError(
                     f"trace is inconsistent with threshold {threshold}: a call "
@@ -714,7 +753,7 @@ def replay_trace_meters(
         if not np.array_equal(here, prev):
             pos[0] += here - prev
             moves += 1
-            if int(distance(pos)[0]) > threshold:
+            if int(distance(pos.T)[0]) > threshold:
                 updates += 1
                 slot_cost += U
                 pos[:] = 0
