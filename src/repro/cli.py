@@ -75,14 +75,17 @@ def _add_observability_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    """``--backend`` for subcommands with a compiled execution path."""
+    """``--backend`` for subcommands with more than one execution path."""
     from .core.backend import BACKENDS
 
     p.add_argument(
         "--backend", choices=BACKENDS, default="numpy",
-        help="execution backend: 'numpy' (default, legacy RNG), 'numba' "
-        "(compiled kernels, falls back to NumPy with a warning when numba "
-        "is missing), or 'auto' (compiled when available, silent fallback)",
+        help="execution path: 'numpy' (default) keeps the reference path -- "
+        "the per-cell engine for simulate, the NumPy shard step for fleet, "
+        "the dense solver for sweep; 'numba' or 'auto' switch to the batched "
+        "path -- the vectorized counter-RNG engine for simulate, the "
+        "compiled shard kernel for fleet (NumPy fallback when numba is "
+        "missing, with a warning for 'numba'), the banded solver for sweep",
     )
 
 
@@ -244,12 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", dest="json_path",
                    help="also write the machine-readable report here")
-    p.add_argument(
-        "--compare-backends", action="store_true",
-        help="time every available backend on the vectorized engine in one "
-        "invocation and print a per-backend slots/sec table",
-    )
-    _add_backend_flag(p)
     _add_observability_flags(p)
 
     p = sub.add_parser(
@@ -702,16 +699,14 @@ def _cmd_simulate(args) -> int:
             max_delay=args.max_delay,
             terminals=args.replications,
             seed=args.seed,
-            backend=args.backend,
             walk=spec,
         )
         if args.warmup:
             engine.run(args.warmup)
             engine.reset_meters()
         result = engine.run(args.slots)
-        print(f"backend:          {engine.backend_resolved} "
-              f"(requested {args.backend}; one vectorized terminal "
-              "per replication)")
+        print(f"backend:          numpy (requested {args.backend}; one "
+              "vectorized terminal per replication)")
     else:
         result = run_replicated(
             topology=topology,
@@ -920,52 +915,9 @@ def _cmd_faults(args) -> int:
 
 def _cmd_speed(args) -> int:
     from .geometry import HexTopology, LineTopology
-    from .simulation.vectorized import compare_backends_report, throughput_report
+    from .simulation.vectorized import throughput_report
 
     topology = LineTopology() if args.dimensions == 1 else HexTopology()
-    if args.compare_backends:
-        report = compare_backends_report(
-            topology=topology,
-            threshold=args.threshold,
-            mobility=MobilityParams(
-                move_probability=args.q, call_probability=args.c
-            ),
-            costs=CostParams(
-                update_cost=args.update_cost, poll_cost=args.poll_cost
-            ),
-            max_delay=args.max_delay,
-            slots=args.vector_slots,
-            terminals=args.terminals,
-            seed=args.seed,
-        )
-        rows = [
-            [
-                row["name"],
-                row["resolved"],
-                f"{row['slots_per_sec']:,.0f}",
-                f"{row['seconds']:.3f}",
-                f"{row['mean_total_cost']:.6f}",
-            ]
-            for row in report["backends"]
-        ]
-        print(render_table(
-            ["backend", "resolved", "terminal-slots/sec", "seconds",
-             "mean C_T"],
-            rows,
-            title=(
-                f"Backend comparison (K={args.terminals}, "
-                f"{args.vector_slots} slots, d={args.threshold}, "
-                f"m={args.max_delay}, numba "
-                f"{'available' if report['numba_available'] else 'absent'})"
-            ),
-        ))
-        if args.json_path:
-            import json
-            from pathlib import Path
-
-            Path(args.json_path).write_text(json.dumps(report, indent=2) + "\n")
-            print(f"wrote JSON report to {args.json_path}")
-        return 0
     report = throughput_report(
         topology=topology,
         threshold=args.threshold,
@@ -976,7 +928,6 @@ def _cmd_speed(args) -> int:
         vector_slots=args.vector_slots,
         terminals=args.terminals,
         seed=args.seed,
-        backend=args.backend,
     )
     eng, vec = report["engine"], report["vectorized"]
     print(
@@ -988,8 +939,6 @@ def _cmd_speed(args) -> int:
     print(f"  vectorized (K={vec['terminals']}): {vec['slots_per_sec']:>10,.0f} "
           f"terminal-slots/sec ({vec['terminal_slots']:,} in {vec['seconds']:.3f}s)")
     print(f"  speedup:          {report['speedup']:.1f}x")
-    if args.backend != "numpy":
-        print(f"  backend:          {vec['backend']} (requested {args.backend})")
     if args.json_path:
         import json
         from pathlib import Path

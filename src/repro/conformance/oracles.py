@@ -23,10 +23,8 @@ fleet-pooled-vs-inprocess       ``run_fleet`` process pool vs in-process
 fleet-vs-vectorized             homogeneous fleet vs vectorized engine
 steady-banded-vs-recursive      banded tridiagonal LU vs Section-4.1 recursion
 surface-banded-vs-dense         cost surface solved banded vs dense recursion
-vectorized-backend-vs-fallback  compiled counter kernel vs its NumPy port
 fleet-backend-vs-fallback       compiled fleet kernel vs its NumPy port
-vectorized-counter-vs-fleet     counter-mode vectorized vs homogeneous fleet
-vectorized-counter-vs-pcg64     counter-RNG backend vs legacy PCG64 backend
+vectorized-counter-vs-fleet     vectorized engine vs homogeneous fleet
 ==============================  =============================================
 
 Analytic oracles are exact up to float accumulation (tolerances around
@@ -46,8 +44,10 @@ float-accumulation-sized rather than statistical;
 ``fleet-pooled-vs-inprocess`` demands bit-identical shard snapshots
 between the process-pool and in-process executors (the fleet analogue
 of ``serial-vs-pooled``); ``fleet-vs-vectorized`` checks a homogeneous
-fleet against the independently-implemented vectorized engine
-statistically (the two consume randomness differently by design).
+fleet against the vectorized engine statistically.  Both engines now
+step the same counter-RNG chain, so that pair agrees exactly; the
+independent reference for the batched chain is the per-cell engine,
+through ``engine-vs-vectorized``.
 
 The comparison helpers (:func:`replicated_agreement`,
 :func:`bitwise_agreement`) are module-level so the conformance tests
@@ -529,7 +529,7 @@ def _surface_banded_vs_dense(config: ConformanceConfig) -> Deviation:
 
 
 def _counter_engine(config: ConformanceConfig, slots: int):
-    """A counter-mode vectorized engine, run for ``slots``."""
+    """A vectorized engine on the fleet's sizing, run for ``slots``."""
     from ..simulation.vectorized import VectorizedDistanceEngine  # deferred
 
     model = config.build_model()
@@ -541,44 +541,9 @@ def _counter_engine(config: ConformanceConfig, slots: int):
         max_delay=config.m,
         terminals=_FLEET_TERMINALS,
         seed=config.seed,
-        backend="auto",
     )
     engine.run(slots)
     return engine
-
-
-@REGISTRY.oracle(
-    "vectorized-backend-vs-fallback",
-    tolerance=0.0,
-    paper_ref="Section 6",
-    description="compiled vectorized kernel is bit-identical to its NumPy port",
-    applies=lambda config: config.sim_slots > 0,
-)
-def _vectorized_backend_vs_fallback(config: ConformanceConfig) -> Deviation:
-    """Bit-identity of the counter kernel across executions.
-
-    With numba installed this compares the jit-compiled step against the
-    interpreted NumPy port; without numba both runs resolve to the
-    fallback and the check degenerates to a (documented) identity --
-    which is exactly the contract: results never depend on whether
-    numba is present.
-    """
-    from ..core.backend import use_numpy_fallback  # deferred
-
-    slots = min(config.sim_slots, _FLEET_EXACT_SLOTS)
-    compiled = _counter_engine(config, slots)
-    with use_numpy_fallback():
-        fallback = _counter_engine(config, slots)
-    gap = 0.0
-    for name in ("_moves", "_updates", "_calls", "_polled_cells",
-                 "_delay_counts", "_cost_sum", "_cost_sq_sum"):
-        a, b = getattr(compiled, name), getattr(fallback, name)
-        gap = max(gap, float(np.max(np.abs(a - b))) if a.size else 0.0)
-    return Deviation(
-        gap,
-        f"{compiled.backend_resolved} vs {fallback.backend_resolved}: "
-        f"max per-terminal meter gap {gap:.3g}",
-    )
 
 
 @REGISTRY.oracle(
@@ -624,18 +589,18 @@ def _fleet_backend_vs_fallback(config: ConformanceConfig) -> Deviation:
     "vectorized-counter-vs-fleet",
     tolerance=0.0,
     paper_ref="Section 6",
-    description="counter-mode vectorized engine replays the fleet trajectory exactly",
+    description="vectorized engine replays the fleet trajectory exactly",
     applies=lambda config: config.sim_slots > 0,
 )
 def _vectorized_counter_vs_fleet(config: ConformanceConfig) -> Deviation:
     """The strongest cross-engine check in the suite.
 
     A homogeneous single-shard fleet (global offset 0) and the
-    counter-mode vectorized engine hash the *same* ``(seed, stream,
-    slot, terminal)`` keys with the same within-slot semantics, so two
-    independently implemented step kernels must produce identical
-    trajectories -- event totals equal as integers, cost totals equal
-    as the same integer-weighted dot products.
+    vectorized engine hash the *same* ``(seed, stream, slot,
+    terminal)`` keys through the shared chain, while each keeps its own
+    accounting (shard scalars vs per-terminal meters), so the two must
+    produce identical trajectories -- event totals equal as integers,
+    cost totals equal as the same integer-weighted dot products.
     """
     from ..simulation.fleet import run_fleet  # deferred: heavy
 
@@ -662,29 +627,3 @@ def _vectorized_counter_vs_fleet(config: ConformanceConfig) -> Deviation:
         float(gaps[worst_field]),
         f"worst field {worst_field!r}: gap {float(gaps[worst_field]):.3g}",
     )
-
-
-@REGISTRY.oracle(
-    "vectorized-counter-vs-pcg64",
-    tolerance=1.0,
-    paper_ref="Section 6",
-    description="counter-RNG backend agrees statistically with the PCG64 backend",
-    applies=lambda config: config.sim_slots > 0,
-)
-def _vectorized_counter_vs_pcg64(config: ConformanceConfig) -> Deviation:
-    from ..simulation.vectorized import VectorizedDistanceEngine  # deferred
-
-    model = config.build_model()
-    slots = min(config.sim_slots, _FLEET_STAT_SLOTS)
-    common = dict(
-        topology=model.topology,
-        threshold=config.d,
-        mobility=config.mobility(),
-        costs=config.costs(),
-        max_delay=config.m,
-        terminals=_FLEET_TERMINALS,
-        seed=config.seed,
-    )
-    legacy = VectorizedDistanceEngine(backend="numpy", **common).run(slots)
-    counter = VectorizedDistanceEngine(backend="auto", **common).run(slots)
-    return replicated_agreement(legacy, counter)

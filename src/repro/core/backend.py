@@ -1,30 +1,34 @@
 """Backend selection for the compiled hot-path kernels.
 
 One switch -- ``backend="numpy" | "numba" | "auto"`` -- controls every
-accelerated code path in the library (the vectorized/fleet step kernels
-of :mod:`repro.simulation.kernels` and the large-``d_max`` banded
-steady-state solver of :mod:`repro.core.batch`):
+accelerated code path in the library: the fleet's shard kernel
+(``fleet_step`` in :mod:`repro.simulation.kernels`, behind
+:func:`repro.simulation.fleet.run_fleet`) and the large-``d_max``
+banded steady-state solver of :mod:`repro.core.batch`:
 
-* ``"numpy"`` -- the reference implementation.  For the simulation
-  engines this is the historical sequential-PCG64 path; for the
-  analytic solvers it is the dense triangular recursion.
-* ``"numba"`` -- request the jit-compiled kernels.  When numba is not
+* ``"numpy"`` -- the reference implementation: the fleet's NumPy
+  counter-RNG chain, and for the analytic solvers the dense triangular
+  recursion.
+* ``"numba"`` -- request the jit-compiled kernel.  When numba is not
   importable the request *degrades gracefully*: a single
   :class:`RuntimeWarning` is emitted (once per process, not per
-  engine) and the pure-NumPy port of the same kernel runs instead.
+  engine) and the NumPy chain runs instead.
 * ``"auto"`` -- use numba when available, silently fall back otherwise.
+
+The vectorized engine has no backend: it always steps the NumPy
+counter-RNG chain the fleet shares.  On the CLI, ``simulate --backend``
+therefore only picks the engine -- ``numpy`` the per-cell reference,
+``numba``/``auto`` the vectorized engine.
 
 Determinism contract
 --------------------
 
-Selecting a non-``"numpy"`` backend on an engine always switches it to
-the stateless SplitMix64 *counter* RNG (the one the fleet engine
-already uses), whether or not numba is importable -- the compiled
-kernel and its NumPy fallback are ports of each other, bit-identical
-per terminal-slot.  Results therefore never depend on whether numba
-happens to be installed; only wall-clock time does.  The conformance
-suite pins this (``vectorized-backend-vs-fallback``,
-``fleet-backend-vs-fallback``).
+The fleet draws from the stateless SplitMix64 counter RNG whatever the
+backend, and ``fleet_step`` is a port of the NumPy chain -- integer
+event totals are bit-identical per terminal-slot.  Results therefore
+never depend on whether numba happens to be installed; only wall-clock
+time does.  The conformance suite pins this
+(``fleet-backend-vs-fallback``).
 
 ``numba_available`` goes through :data:`_import_numba` so tests can
 monkeypatch a missing (or broken) numba without uninstalling anything;
@@ -100,8 +104,8 @@ def resolve_backend(backend: str = "auto") -> str:
 
     Returns ``"numpy"`` or ``"numba"``.  An explicit ``"numba"`` request
     on a host without numba warns once per process and falls back;
-    ``"auto"`` falls back silently.  The fallback runs the NumPy port of
-    the same counter-RNG kernel, so results are unchanged either way.
+    ``"auto"`` falls back silently.  The fallback runs the NumPy chain
+    the compiled kernel ports, so results are unchanged either way.
     """
     global _FALLBACK_WARNED
     validate_backend(backend)

@@ -83,16 +83,14 @@ from ..paging import sdf_partition
 from ..persist import atomic_write_json
 from ..workload.profiles import Population
 from .kernels import (
-    STREAM_CALL as _STREAM_CALL,
-    STREAM_EVENT as _STREAM_EVENT,
+    _EVENT_MODES,
+    _RingChain,
     compiled_kernels,
-    counter_below as _counter_below,
-    terminal_keys as _terminal_keys,
+    terminal_keys,
     topology_code,
-    unit_bound as _unit_bound,
 )
-from .runner import _resolve_workers
-from .vectorized import _EVENT_MODES, _Z95, _lattice_kernel, _move_columns
+from .runner import _indexed_entries, _resolve_workers
+from .vectorized import _Z95
 
 __all__ = [
     "FleetSpec",
@@ -109,13 +107,6 @@ __all__ = [
 #: the fleet fingerprint additionally pins the *population* (realized
 #: per-terminal arrays) and the shard layout.
 _FLEET_CHECKPOINT_VERSION = 1
-
-# The stateless counter-based randomness primitives (SplitMix64
-# finalizer, slot keys, terminal keys) live in
-# :mod:`repro.simulation.kernels` -- shared with the vectorized engine's
-# counter backend and ported inside the jit kernels -- and are imported
-# above under their historical private names.
-
 
 # -- the fleet specification -------------------------------------------
 
@@ -558,17 +549,17 @@ class FleetResult:
 # -- the heterogeneous shard kernel ------------------------------------
 
 
-class FleetShardEngine:
+class FleetShardEngine(_RingChain):
     """Batched kernel over one contiguous shard of a heterogeneous fleet.
 
-    The :class:`VectorizedDistanceEngine` chain generalized to
-    per-terminal parameter *arrays*: thresholds, mobilities, and costs
-    all vary terminal by terminal, with per-terminal SDF paging plans
-    grouped into ``(d, m)`` lookup classes.  Randomness is the
-    stateless counter hash keyed by each terminal's *global* fleet
-    index (``global_offset + local index``), which is what makes fleet
-    totals invariant under the shard layout -- see the module
-    docstring.
+    The shared ring-distance chain (:class:`~repro.simulation.kernels.
+    _RingChain`) with per-terminal parameter *arrays*: thresholds,
+    mobilities, and costs all vary terminal by terminal, with
+    per-terminal SDF paging plans grouped into ``(d, m)`` lookup
+    classes.  Randomness is the stateless counter hash keyed by each
+    terminal's *global* fleet index (``global_offset + local index``),
+    which is what makes fleet totals invariant under the shard layout --
+    see the module docstring.
 
     State is O(terminals): positions, per-terminal event counters, and
     shard-level scalars.  Nothing per-slot is retained.
@@ -590,13 +581,7 @@ class FleetShardEngine:
         event_mode: str = "exclusive",
         backend: str = "numpy",
     ) -> None:
-        if event_mode not in _EVENT_MODES:
-            raise ParameterError(
-                f"event_mode must be one of {_EVENT_MODES}, got {event_mode!r}"
-            )
-        self.topology = topology
         self.max_delay = validate_delay(max_delay)
-        self.event_mode = event_mode
         self.seed = int(seed)
         # The fleet kernel always draws from the counter RNG, so the
         # backend only selects the *execution* of the same step --
@@ -621,43 +606,21 @@ class FleetShardEngine:
             "FleetShardEngine", self.n_profiles, self._q, self._c,
             self._update_cost, self._poll_cost, self._threshold, self._profile,
         )
-        # Integer event bounds (see kernels.unit_bound): exclusive mode
-        # draws one event stream against q + c and splits it at c;
-        # independent mode draws moves against q and calls against c.
-        self._call_bound = _unit_bound(self._c)
-        self._event_bound = _unit_bound(
-            self._q + self._c if event_mode == "exclusive" else self._q
-        )
-        self._dirs, self._distance = _lattice_kernel(topology)
         # Per-terminal paging plans, grouped into (d, m) classes: row i
         # of the lookup tables serves every terminal whose threshold is
-        # unique_d[i].  ring -> 0-based polling cycle, and cycle ->
-        # cumulative cells polled (w_j of eqn (64)).
+        # unique_d[i].
         unique_d = np.unique(self._threshold)
-        self._class_idx = np.ascontiguousarray(
-            np.searchsorted(unique_d, self._threshold), dtype=np.int64
+        super().__init__(
+            topology,
+            terminal_keys(self.global_offset, self.terminals),
+            self.seed,
+            event_mode,
+            self._q,
+            self._c,
+            [sdf_partition(int(d), self.max_delay) for d in unique_d],
+            class_idx=np.searchsorted(unique_d, self._threshold),
         )
-        plans = [sdf_partition(int(d), self.max_delay) for d in unique_d]
-        max_d = int(unique_d[-1])
-        self.max_cycles = max(plan.delay_bound for plan in plans)
-        self._ring_to_cycle = np.zeros((len(plans), max_d + 1), dtype=np.int64)
-        self._cum_polled = np.zeros((len(plans), self.max_cycles), dtype=np.int64)
-        for row, plan in enumerate(plans):
-            for cycle, group in enumerate(plan.subareas):
-                for ring in group:
-                    self._ring_to_cycle[row, ring] = cycle
-            cumulative = np.asarray(
-                plan.cumulative_polled(topology), dtype=np.int64
-            )
-            self._cum_polled[row, : cumulative.shape[0]] = cumulative
-            # Pad defensively: a class never pages past its own plan's
-            # delay bound, but keep the tail monotone anyway.
-            self._cum_polled[row, cumulative.shape[0]:] = cumulative[-1]
-        # Hash keys of the *global* terminal indices, fixed once.
-        self._idx_keys = _terminal_keys(self.global_offset, self.terminals)
-        self._pos = np.zeros((self.terminals, self._dirs.shape[1]), dtype=np.int64)
-        self._cols = tuple(self._pos.T)
-        self.slot = 0
+        self.max_cycles = self._cum_polled.shape[1]
         self.reset_meters()
 
     # ------------------------------------------------------------------
@@ -685,8 +648,7 @@ class FleetShardEngine:
                 self._step()
 
     def _run_compiled(self, slots: int) -> None:  # pragma: no cover - numba
-        _, fleet_step = compiled_kernels()
-        cost_sum, cost_sq_sum = fleet_step(
+        cost_sum, cost_sq_sum = compiled_kernels()(
             self._pos,
             self._dirs,
             np.int64(topology_code(self.topology)),
@@ -716,60 +678,26 @@ class FleetShardEngine:
         self.slot += slots
 
     def _step(self) -> None:
-        """One slot: hash every terminal once, then touch only events.
+        """One slot of the shared chain, folded into shard-level scalars.
 
-        The event draw ``u < p`` is tested as ``(h >> 11) < unit_bound(p)``
-        (exact, see kernels.unit_bound), so callers and movers come out
-        as ascending index arrays and idle terminals cost one hash.
+        The slot cost is ``poll_cost[callers] @ polled`` plus the sum of
+        the updaters' ``update_cost``, both over ascending terminals.
         """
         t = self.slot
-        events, draws = _counter_below(
-            self._idx_keys, self.seed, _STREAM_EVENT, t, self._event_bound
-        )
-        if self.event_mode == "exclusive":
-            call = draws < self._call_bound[events]
-            callers, movers = events[call], events[~call]
-        else:
-            movers = events
-            callers, _ = _counter_below(
-                self._idx_keys, self.seed, _STREAM_CALL, t, self._call_bound
-            )
-        slot_cost = 0.0
-        # Calls first -- the same within-slot order as the per-cell and
-        # vectorized engines.
-        if callers.size:
-            slot_cost += self._handle_calls(callers)
-        if movers.size:
-            slot_cost += self._handle_moves(movers, t)
+        callers, movers = self._draw_events(t)
+        _, cycles, polled = self._page(callers)
+        self._calls[callers] += 1
+        self._polled[callers] += polled
+        self._delay_counts += np.bincount(cycles, minlength=self.max_cycles)
+        slot_cost = float(self._poll_cost[callers] @ polled)
+        updating = self._move(movers, t, self._threshold[movers])
+        self._moves[movers] += 1
+        self._updates[updating] += 1
+        slot_cost += float(self._update_cost[updating].sum())
         self._cost_sum += slot_cost
         self._cost_sq_sum += slot_cost * slot_cost
         self._metered_slots += 1
         self.slot += 1
-
-    def _handle_calls(self, callers: np.ndarray) -> float:
-        rings = self._distance([col[callers] for col in self._cols])
-        classes = self._class_idx[callers]
-        cycles = self._ring_to_cycle[classes, rings]
-        polled = self._cum_polled[classes, cycles]
-        self._calls[callers] += 1
-        self._polled[callers] += polled
-        self._delay_counts += np.bincount(cycles, minlength=self.max_cycles)
-        cost = float(self._poll_cost[callers] @ polled)
-        # Pinpointed terminals re-center: relative position resets.
-        for col in self._cols:
-            col[callers] = 0
-        return cost
-
-    def _handle_moves(self, movers: np.ndarray, slot: int) -> float:
-        updating = _move_columns(
-            self._cols, self._dirs, self._distance, self._idx_keys,
-            self.seed, slot, movers, self._threshold[movers],
-        )
-        self._moves[movers] += 1
-        if not updating.size:
-            return 0.0
-        self._updates[updating] += 1
-        return float(self._update_cost[updating].sum())
 
     # ------------------------------------------------------------------
 
@@ -980,8 +908,10 @@ def _load_fleet_checkpoint(
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterError(f"unreadable fleet checkpoint {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParameterError(f"fleet checkpoint {path} is not a JSON object")
     stored = payload.get("fingerprint") or {}
-    version = stored.get("version")
+    version = stored.get("version") if isinstance(stored, dict) else None
     if version != _FLEET_CHECKPOINT_VERSION:
         raise ParameterError(
             f"fleet checkpoint {path} uses schema version {version!r}, but "
@@ -995,10 +925,21 @@ def _load_fleet_checkpoint(
             "(population/topology/shard layout/slots/seed differ); delete "
             "it or point the run at a fresh path"
         )
-    return {
-        int(entry["index"]): ShardSnapshot.from_dict(entry["snapshot"])
-        for entry in payload["shards"]
-    }
+    bounds = fingerprint["bounds"]
+    shards = _indexed_entries(
+        payload.get("shards"), len(bounds),
+        lambda entry: ShardSnapshot.from_dict(entry["snapshot"]),
+        f"fleet checkpoint {path} shards",
+    )
+    for index, snapshot in shards.items():
+        if [snapshot.index, snapshot.start, snapshot.stop] != [index, *bounds[index]]:
+            raise ParameterError(
+                f"fleet checkpoint {path}: shard {index} holds terminals "
+                f"{snapshot.start}..{snapshot.stop} (index {snapshot.index}), "
+                f"but this run's shard {index} is {bounds[index][0]}.."
+                f"{bounds[index][1]}"
+            )
+    return shards
 
 
 def _write_fleet_checkpoint(

@@ -1,59 +1,58 @@
-"""Shared counter-RNG primitives and the optional numba step kernels.
+"""The ring-distance chain of both batched engines, and its compiled twin.
 
-This module is the single home of the stateless SplitMix64 counter
-randomness both batched engines draw from (it moved here from
-:mod:`repro.simulation.fleet`, which re-exports the old names), plus
-the jit-compiled ports of the two hot step loops:
+This module is the single home of the batched simulation chain:
 
-* the **homogeneous** kernel -- one ``(d, m, q, c, U, V)`` point,
-  per-terminal meters -- behind
-  :class:`~repro.simulation.vectorized.VectorizedDistanceEngine` with
-  ``backend != "numpy"``;
-* the **fleet** kernel -- per-terminal parameter arrays, shard-level
-  scalar cost accumulators -- behind
-  :class:`~repro.simulation.fleet.FleetShardEngine`.
+* the stateless SplitMix64 **counter randomness** both engines draw
+  from -- one hash per ``(seed, stream, slot, global terminal index)``,
+  so a terminal's trajectory does not depend on the batch it runs in;
+* the **chain itself**, :class:`_RingChain`: center-relative lattice
+  positions, integer event bounds and the ``(d, m)`` paging tables,
+  stepped by three operations -- the event draw, :meth:`_RingChain._page`
+  and :meth:`_RingChain._move`.
+  :class:`~repro.simulation.vectorized.VectorizedDistanceEngine` (one
+  class, per-terminal meters) and
+  :class:`~repro.simulation.fleet.FleetShardEngine` (per-terminal
+  parameter columns, shard-level cost scalars) both derive from it and
+  keep only their own accounting;
+* the one jit-compiled port, ``fleet_step``, behind
+  :class:`~repro.simulation.fleet.FleetShardEngine` with
+  ``backend != "numpy"``.
 
-Bit-identity contract
----------------------
+Event-sparse slots
+------------------
 
-The NumPy counter-mode steps are *event-sparse*: per slot they hash
-every terminal once (:func:`counter_below`, in cache-sized chunks),
-keep the ascending indices whose 53-bit draw falls below an integer
-:func:`unit_bound` -- exactly the terminals with ``u < p`` -- and touch
-only those callers and movers.  Each compiled kernel visits every
-terminal instead, but evaluates the same predicates: the same hash per
-``(seed, stream, slot, global terminal index)``, the same within-slot
-order (calls before moves), and the same per-terminal float arithmetic
-(``V * polled`` then ``+ U``; an idle terminal adds an exact ``0.0``).
-Integer meters (moves, updates, calls, polled cells, delay histograms)
-and the per-terminal cost accumulators of the homogeneous kernel are
-therefore **bit-identical** between the compiled and NumPy executions.
-The one documented exception: the fleet kernel accumulates its
-*shard-level* per-slot cost scalars terminal-by-terminal, while the
-NumPy path uses dot products over the ascending callers and updaters --
-summation order differs, so those two floats (and nothing else --
-snapshot cost totals are recomputed from the integer counters) agree
-to ~1e-12 relative rather than exactly.
+Per slot the chain hashes every terminal once (:func:`counter_below`,
+in cache-sized chunks), keeps the ascending indices whose 53-bit draw
+falls below an integer :func:`unit_bound` -- exactly the terminals with
+``u < p`` -- and touches only those callers and movers, calls before
+moves.  ``fleet_step`` visits every terminal instead but evaluates the
+same predicates in the same order, so its integer meters (moves,
+updates, calls, polled cells, delay histogram) are **bit-identical** to
+the NumPy chain's.  The one documented exception is its shard-level
+per-slot cost scalars: it accumulates them terminal by terminal while
+the NumPy path uses dot products over the ascending callers and
+updaters, so those two floats (and nothing else -- snapshot cost totals
+are recomputed from the integer counters) agree to ~1e-12 relative.
 
 numba is optional.  Importing this module never imports numba; the
-compiled kernels are built lazily on first request (one ``kernel
+compiled kernel is built lazily on first request (one ``kernel
 .compile`` tracer span when observability is on) and memoized for the
-process.  When numba is absent the engines simply keep their NumPy
-counter paths -- same results, see :mod:`repro.core.backend`.
+process.  When numba is absent the fleet keeps its NumPy chain -- same
+results, see :mod:`repro.core.backend`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.backend import numba_available
 from ..exceptions import ParameterError
-from ..geometry.hex import HexTopology
+from ..geometry.hex import AXIAL_DIRECTIONS, HexTopology
 from ..geometry.line import LineTopology
-from ..geometry.square import SquareTopology
+from ..geometry.square import SQUARE_DIRECTIONS, SquareTopology
 from ..geometry.topology import CellTopology
 from ..observability.context import current as _observability
 
@@ -250,14 +249,185 @@ def topology_code(topology: CellTopology) -> int:
     )
 
 
+# -- the shared ring-distance chain -------------------------------------
+
+#: Slot semantics of the chain: ``"exclusive"`` (one event per slot, the
+#: paper's Markov chain) or ``"independent"`` (call and move drawn on
+#: separate streams, calls processed first).
+_EVENT_MODES = ("exclusive", "independent")
+
+
+def _lattice_kernel(topology: CellTopology) -> Tuple[np.ndarray, Callable]:
+    """Direction vectors and a vectorized ring-distance function.
+
+    Returns ``(directions, distance)`` where ``directions`` has shape
+    ``(degree, dims)`` and ``distance`` maps center-relative coordinate
+    *columns* -- a ``(dims, K)`` array such as ``pos.T``, or a sequence
+    of ``dims`` length-``K`` arrays -- to ``(K,)`` ring distances.
+    """
+    if isinstance(topology, LineTopology):
+        dirs = np.array([[-1], [1]], dtype=np.int64)
+        return dirs, lambda cols: np.abs(cols[0])
+    if isinstance(topology, HexTopology):
+        dirs = np.array(AXIAL_DIRECTIONS, dtype=np.int64)
+
+        def hex_distance(cols) -> np.ndarray:
+            q, r = cols[0], cols[1]
+            return (np.abs(q) + np.abs(r) + np.abs(q + r)) // 2
+
+        return dirs, hex_distance
+    if isinstance(topology, SquareTopology):
+        dirs = np.array(SQUARE_DIRECTIONS, dtype=np.int64)
+        return dirs, lambda cols: np.abs(cols[0]) + np.abs(cols[1])
+    raise ParameterError(
+        f"the batched engines support LineTopology, HexTopology, and "
+        f"SquareTopology; got {topology!r} -- use SimulationEngine for "
+        "other geometries"
+    )
+
+
+def _paging_tables(
+    plans: Sequence, topology: CellTopology
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Paging lookups, one row per ``(d, m)`` class.
+
+    ``ring_to_cycle[i, ring]`` is the 0-based polling cycle that finds a
+    class-``i`` terminal at ``ring``, and ``cum_polled[i, cycle]`` the
+    cells polled by then (``w_j`` of eqn (64)).  Rows are padded to the
+    widest class; a class never reads past its own threshold or delay
+    bound, and its cumulative tail is kept monotone anyway.
+    """
+    max_d = max(plan.threshold for plan in plans)
+    cycles = max(plan.delay_bound for plan in plans)
+    ring_to_cycle = np.zeros((len(plans), max_d + 1), dtype=np.int64)
+    cum_polled = np.zeros((len(plans), cycles), dtype=np.int64)
+    for row, plan in enumerate(plans):
+        for cycle, group in enumerate(plan.subareas):
+            ring_to_cycle[row, list(group)] = cycle
+        cumulative = plan.cumulative_polled(topology)
+        cum_polled[row, : len(cumulative)] = cumulative
+        cum_polled[row, len(cumulative):] = cumulative[-1]
+    return ring_to_cycle, cum_polled
+
+
+class _RingChain:
+    """Batched ring-distance chain: positions, event bounds, paging tables.
+
+    Terminals are tracked by lattice coordinates relative to their
+    current center cell (the cell of the last update or page hit), so
+    ring distances, update triggers and paging costs come from the same
+    geometry the per-cell engine walks.  ``q`` and ``c`` are scalars or
+    one per terminal; ``plans`` holds one paging plan per ``(d, m)``
+    class, and ``class_idx`` maps each terminal to its row (``None``: a
+    single class, whose tables are then plain 1-D lookups).  Every
+    operation takes and returns ascending terminal indices.
+    """
+
+    def __init__(
+        self,
+        topology: CellTopology,
+        keys: np.ndarray,
+        seed: int,
+        event_mode: str,
+        q,
+        c,
+        plans: Sequence,
+        class_idx: Optional[np.ndarray] = None,
+    ) -> None:
+        if event_mode not in _EVENT_MODES:
+            raise ParameterError(
+                f"event_mode must be one of {_EVENT_MODES}, got {event_mode!r}"
+            )
+        self.topology = topology
+        self.event_mode = event_mode
+        self._seed = seed
+        self._idx_keys = keys
+        # Integer event bounds (see unit_bound): exclusive mode draws one
+        # event stream against q + c and splits it at c; independent
+        # mode draws moves against q and calls against c.
+        self._call_bound = unit_bound(c)
+        self._event_bound = unit_bound(q + c if event_mode == "exclusive" else q)
+        self._dirs, self._distance = _lattice_kernel(topology)
+        self._pos = np.zeros((keys.shape[0], self._dirs.shape[1]), dtype=np.int64)
+        self._cols = tuple(self._pos.T)
+        ring_to_cycle, cum_polled = _paging_tables(plans, topology)
+        if class_idx is None:
+            ring_to_cycle, cum_polled = ring_to_cycle[0], cum_polled[0]
+        self._class_idx = class_idx
+        self._ring_to_cycle = ring_to_cycle
+        self._cum_polled = cum_polled
+        self.slot = 0
+
+    def _draw_events(self, slot: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The slot's ``(callers, movers)``, one hash per terminal and stream."""
+        events, draws = counter_below(
+            self._idx_keys, self._seed, STREAM_EVENT, slot, self._event_bound
+        )
+        if self.event_mode == "independent":
+            callers, _ = counter_below(
+                self._idx_keys, self._seed, STREAM_CALL, slot, self._call_bound
+            )
+            return callers, events
+        bound = self._call_bound
+        call = draws < (bound[events] if np.ndim(bound) else bound)
+        return events[call], events[~call]
+
+    def _page(self, callers: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Page ``callers``: their ``(rings, cycles, polled cells)``.
+
+        Cycles are 0-based.  The network pinpointed the callers, so their
+        cells become the new centers: positions reset to the origin.
+        """
+        rings = self._distance([col[callers] for col in self._cols])
+        if self._class_idx is None:
+            cycles = self._ring_to_cycle[rings]
+            polled = self._cum_polled[cycles]
+        else:
+            classes = self._class_idx[callers]
+            cycles = self._ring_to_cycle[classes, rings]
+            polled = self._cum_polled[classes, cycles]
+        for col in self._cols:
+            col[callers] = 0
+        return rings, cycles, polled
+
+    def _move(
+        self,
+        movers: np.ndarray,
+        slot: int,
+        threshold,
+        directions: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Step ``movers`` one cell; return the updaters among them.
+
+        ``directions`` indexes the lattice directions per mover; by
+        default it is ``floor(u * degree)`` of each mover's
+        ``STREAM_DIRECTION`` uniform.  Movers past ``threshold`` (scalar
+        or one per mover) update, and their positions re-center.
+        """
+        if directions is None:
+            unit = counter_uniforms(
+                self._idx_keys[movers], self._seed, STREAM_DIRECTION, slot
+            )
+            directions = (unit * float(self._dirs.shape[0])).astype(np.int64)
+        cols = self._cols
+        moved = [
+            col[movers] + step[directions] for col, step in zip(cols, self._dirs.T)
+        ]
+        over = self._distance(moved) > threshold
+        for col, coord in zip(cols, moved):
+            coord[over] = 0
+            col[movers] = coord
+        return movers[over]
+
+
 # -- lazily compiled numba kernels --------------------------------------
 
-_COMPILED: Optional[Tuple] = None
+_COMPILED: Optional[Callable] = None
 _COMPILE_SECONDS: Optional[float] = None
 
 
 def kernel_compile_info() -> dict:
-    """Whether the jit kernels compiled this process, and how long it took."""
+    """Whether the jit kernel compiled this process, and how long it took."""
     return {
         "numba_available": numba_available(),
         "compiled": _COMPILED is not None,
@@ -266,7 +436,7 @@ def kernel_compile_info() -> dict:
 
 
 def _build_compiled():  # pragma: no cover - requires numba
-    """Compile the two step kernels (called once, behind the memo)."""
+    """Compile the fleet step kernel (called once, behind the memo)."""
     import numba
 
     u64 = np.uint64
@@ -304,57 +474,6 @@ def _build_compiled():  # pragma: no cover - requires numba
             b = pos[k, 1]
             return (abs(a) + abs(b) + abs(a + b)) // 2
         return abs(pos[k, 0]) + abs(pos[k, 1])
-
-    @numba.njit(cache=False, nogil=True)
-    def homogeneous_step(
-        pos, dirs, topo, event_mode, seed, idx_keys, slot0, slots,
-        q, c, threshold, update_cost, poll_cost,
-        ring_to_cycle, cum_polled,
-        moves, updates, calls, polled, delay_counts,
-        cost_sum, cost_sq_sum,
-    ):
-        K = idx_keys.shape[0]
-        dims = pos.shape[1]
-        degree = f64(dirs.shape[0])
-        cqc = c + q
-        stream_event = u64(0)
-        stream_direction = u64(1)
-        stream_call = u64(2)
-        for t in range(slot0, slot0 + slots):
-            ek = _key(seed, stream_event, t)
-            dk = _key(seed, stream_direction, t)
-            ck = _key(seed, stream_call, t)
-            for k in range(K):
-                u = _unit(_mix(idx_keys[k] ^ ek))
-                if event_mode == 0:
-                    call_k = u < c
-                    move_k = (not call_k) and (u < cqc)
-                else:
-                    move_k = u < q
-                    call_k = _unit(_mix(idx_keys[k] ^ ck)) < c
-                slot_cost = 0.0
-                if call_k:
-                    cycle = ring_to_cycle[_ring(pos, k, topo)]
-                    w = cum_polled[cycle]
-                    calls[k] += 1
-                    polled[k] += w
-                    delay_counts[k, cycle] += 1
-                    slot_cost = poll_cost * w
-                    for j in range(dims):
-                        pos[k, j] = 0
-                if move_k:
-                    h = _mix(idx_keys[k] ^ dk)
-                    direction = i64(_unit(h) * degree)
-                    for j in range(dims):
-                        pos[k, j] += dirs[direction, j]
-                    moves[k] += 1
-                    if _ring(pos, k, topo) > threshold:
-                        updates[k] += 1
-                        slot_cost += update_cost
-                        for j in range(dims):
-                            pos[k, j] = 0
-                cost_sum[k] += slot_cost
-                cost_sq_sum[k] += slot_cost * slot_cost
 
     @numba.njit(cache=False, nogil=True)
     def fleet_step(
@@ -415,11 +534,11 @@ def _build_compiled():  # pragma: no cover - requires numba
             cost_sq_sum += slot_cost * slot_cost
         return cost_sum, cost_sq_sum
 
-    return homogeneous_step, fleet_step
+    return fleet_step
 
 
 def compiled_kernels():
-    """The ``(homogeneous_step, fleet_step)`` jit pair, compiled lazily.
+    """The jit-compiled ``fleet_step``, compiled lazily.
 
     Raises :class:`ParameterError` when numba is unavailable -- callers
     are expected to have resolved the backend first and only land here
@@ -429,7 +548,7 @@ def compiled_kernels():
     if _COMPILED is None:
         if not numba_available():
             raise ParameterError(
-                "the compiled kernels need numba, which is not importable; "
+                "the compiled kernel needs numba, which is not importable; "
                 "resolve the backend through repro.core.backend first"
             )
         obs = _observability()

@@ -198,6 +198,36 @@ def _campaign_fingerprint(
     return fingerprint
 
 
+def _indexed_entries(
+    entries, count: int, parse: Callable[[dict], object], what: str
+) -> Dict[int, object]:
+    """Parse checkpoint ``entries`` into ``{index: parse(entry)}``.
+
+    Refuses with :class:`ParameterError` whatever a resume must not
+    pool: a non-list, an entry without a usable ``index`` or payload,
+    an index outside ``range(count)``, and an index listed twice.
+    """
+    if not isinstance(entries, list):
+        raise ParameterError(
+            f"{what}: expected a list of entries, got {type(entries).__name__}"
+        )
+    parsed: Dict[int, object] = {}
+    for entry in entries:
+        try:
+            index = int(entry["index"])
+            value = parse(entry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParameterError(f"{what}: malformed entry: {exc!r}") from exc
+        if not 0 <= index < count:
+            raise ParameterError(
+                f"{what}: index {index} is outside this run's 0..{count - 1}"
+            )
+        if index in parsed:
+            raise ParameterError(f"{what}: index {index} is listed twice")
+        parsed[index] = value
+    return parsed
+
+
 def _load_checkpoint(
     path: Path, fingerprint: dict
 ) -> Tuple[Dict[int, MeterSnapshot], Dict[int, PartialReplication]]:
@@ -211,8 +241,10 @@ def _load_checkpoint(
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterError(f"unreadable checkpoint {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParameterError(f"checkpoint {path} is not a JSON object")
     stored = payload.get("fingerprint") or {}
-    version = stored.get("version")
+    version = stored.get("version") if isinstance(stored, dict) else None
     if version != _CHECKPOINT_VERSION:
         raise ParameterError(
             f"checkpoint {path} uses schema version {version!r}, but this "
@@ -227,19 +259,22 @@ def _load_checkpoint(
             "(topology/strategy/start/seed/slots/replications/parameters "
             "differ); delete it or point the run at a fresh path"
         )
-    completed = {
-        int(entry["index"]): MeterSnapshot.from_dict(entry["snapshot"])
-        for entry in payload["snapshots"]
-    }
-    partials = {
-        int(p["index"]): PartialReplication(
+    count = fingerprint["replications"]
+    completed = _indexed_entries(
+        payload.get("snapshots"), count,
+        lambda entry: MeterSnapshot.from_dict(entry["snapshot"]),
+        f"checkpoint {path} snapshots",
+    )
+    partials = _indexed_entries(
+        payload.get("partials", []), count,
+        lambda p: PartialReplication(
             index=int(p["index"]),
             completed_slots=int(p["completed_slots"]),
             target_slots=int(p["target_slots"]),
             snapshot=MeterSnapshot.from_dict(p["snapshot"]),
-        )
-        for p in payload.get("partials", [])
-    }
+        ),
+        f"checkpoint {path} partials",
+    )
     return completed, partials
 
 

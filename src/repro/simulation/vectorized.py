@@ -1,13 +1,15 @@
 """Batched NumPy simulation of the distance strategy.
 
 :class:`VectorizedDistanceEngine` simulates ``K`` independent terminals
-of the distance-based scheme as one batched ring-distance chain: a
-single ``rng.random(K)`` event draw per slot classifies every terminal
-as call / movement / idle, and threshold tests, resets, and cost
-accumulation are plain NumPy array operations.  On this container it
-delivers two to three orders of magnitude more terminal-slots per
-second than stepping :class:`~repro.simulation.engine.SimulationEngine`
-instances one cell at a time.
+of the distance-based scheme as one batched ring-distance chain (the
+:class:`~repro.simulation.kernels._RingChain` it shares with the fleet
+engine): one counter-RNG hash per terminal and slot classifies every
+terminal as call / movement / idle, and threshold tests, resets, and
+cost accumulation touch only the terminals with an event.  On this
+container it delivers two to three orders of magnitude more
+terminal-slots per second than stepping
+:class:`~repro.simulation.engine.SimulationEngine` instances one cell at
+a time.
 
 Exactness
 ---------
@@ -49,21 +51,12 @@ from __future__ import annotations
 
 import math
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from ..core.backend import (
-    numba_available,
-    resolve_backend,
-    use_numpy_fallback,
-    validate_backend,
-)
 from ..core.parameters import CostParams, MobilityParams
 from ..exceptions import ParameterError
-from ..geometry.hex import AXIAL_DIRECTIONS, HexTopology
-from ..geometry.line import LineTopology
-from ..geometry.square import SQUARE_DIRECTIONS, SquareTopology
 from ..geometry.topology import CellTopology
 from ..observability.context import current as _observability
 from ..paging import PagingPlan, sdf_partition
@@ -72,94 +65,77 @@ from ..mobility.ctrw import CTRWSpec
 from .kernels import (
     STREAM_CALL,
     STREAM_DIRECTION,
-    STREAM_EVENT,
     STREAM_RESIDENCE,
     STREAM_RESIDENCE_BRANCH,
-    compiled_kernels,
+    _lattice_kernel,
+    _paging_tables,
+    _RingChain,
     counter_below,
     counter_uniforms,
     drifted_directions,
-    mix64,
-    slot_key,
     terminal_keys,
-    topology_code,
-    unit_bound,
 )
 from .metrics import MeterSnapshot
 from .runner import ReplicatedResult
 
 __all__ = [
     "VectorizedDistanceEngine",
-    "compare_backends_report",
     "replay_trace_meters",
     "throughput_report",
 ]
-
-_EVENT_MODES = ("exclusive", "independent")
 
 #: z-score matching CostMeter's 95% half-width.
 _Z95 = 1.96
 
 
-def _lattice_kernel(topology: CellTopology) -> Tuple[np.ndarray, callable]:
-    """Direction vectors and a vectorized ring-distance function.
+def _meter_snapshot(
+    slots: int,
+    moves: int,
+    updates: int,
+    calls: int,
+    polled_cells: int,
+    cost_sum: float,
+    cost_sq_sum: float,
+    delay_counts: np.ndarray,
+    costs: CostParams,
+) -> MeterSnapshot:
+    """One terminal's :class:`MeterSnapshot` from its raw accumulators.
 
-    Returns ``(directions, distance)`` where ``directions`` has shape
-    ``(degree, dims)`` and ``distance`` maps center-relative coordinate
-    *columns* -- a ``(dims, K)`` array such as ``pos.T``, or a sequence
-    of ``dims`` length-``K`` arrays -- to ``(K,)`` ring distances.
+    ``delay_counts[j]`` counts calls found in polling cycle ``j + 1``;
+    the mean and half-width follow :class:`CostMeter` exactly.
     """
-    if isinstance(topology, LineTopology):
-        dirs = np.array([[-1], [1]], dtype=np.int64)
-        return dirs, lambda cols: np.abs(cols[0])
-    if isinstance(topology, HexTopology):
-        dirs = np.array(AXIAL_DIRECTIONS, dtype=np.int64)
-
-        def hex_distance(cols) -> np.ndarray:
-            q, r = cols[0], cols[1]
-            return (np.abs(q) + np.abs(r) + np.abs(q + r)) // 2
-
-        return dirs, hex_distance
-    if isinstance(topology, SquareTopology):
-        dirs = np.array(SQUARE_DIRECTIONS, dtype=np.int64)
-        return dirs, lambda cols: np.abs(cols[0]) + np.abs(cols[1])
-    raise ParameterError(
-        f"VectorizedDistanceEngine supports LineTopology, HexTopology, and "
-        f"SquareTopology; got {topology!r} -- use SimulationEngine for "
-        "other geometries"
+    mean = cost_sum / slots if slots else 0.0
+    if slots >= 2:
+        var = max(cost_sq_sum / slots - mean * mean, 0.0)
+        half = _Z95 * math.sqrt(var / slots)
+    else:
+        half = math.inf
+    if calls:
+        delay = float(
+            np.arange(1, delay_counts.size + 1, dtype=np.float64) @ delay_counts
+        ) / calls
+    else:
+        delay = 0.0
+    return MeterSnapshot(
+        slots=slots,
+        moves=moves,
+        updates=updates,
+        calls=calls,
+        polled_cells=polled_cells,
+        update_cost=updates * costs.update_cost,
+        paging_cost=polled_cells * costs.poll_cost,
+        mean_total_cost=float(mean),
+        total_cost_half_width_95=float(half),
+        mean_paging_delay=delay,
+        delay_histogram={
+            cycle + 1: int(count)
+            for cycle, count in enumerate(delay_counts)
+            if count
+        },
     )
 
 
-def _move_columns(
-    cols: Tuple[np.ndarray, ...],
-    dirs: np.ndarray,
-    distance,
-    idx_keys: np.ndarray,
-    seed: int,
-    slot: int,
-    movers: np.ndarray,
-    threshold,
-) -> np.ndarray:
-    """Step ``movers`` one counter-drawn direction; return the updaters.
-
-    ``cols`` are the per-coordinate column views of a ``(K, dims)``
-    position array and ``movers`` ascending terminal indices.  Each
-    mover's direction is ``floor(u * degree)`` of its ``STREAM_DIRECTION``
-    uniform; movers past ``threshold`` (scalar or one per mover) are
-    the returned updaters, and their positions reset to the origin.
-    """
-    h = mix64(idx_keys[movers] ^ slot_key(seed, STREAM_DIRECTION, slot))
-    unit = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    directions = (unit * float(dirs.shape[0])).astype(np.int64)
-    moved = [col[movers] + step[directions] for col, step in zip(cols, dirs.T)]
-    over = distance(moved) > threshold
-    for col, coord in zip(cols, moved):
-        coord[over] = 0
-        col[movers] = coord
-    return movers[over]
-
-
-class VectorizedDistanceEngine:
+class VectorizedDistanceEngine(_RingChain):
     """K independent distance-strategy terminals as one NumPy chain.
 
     Parameters
@@ -181,20 +157,19 @@ class VectorizedDistanceEngine:
         Batch width ``K`` -- how many independent terminals to step per
         slot.
     seed:
-        Seeds the engine's private RNG (any
-        :class:`numpy.random.SeedSequence`-compatible seed).
+        Integer seed of the stateless SplitMix64 counter RNG (``None``
+        means 0).  Terminal ``k`` draws the same trajectory as terminal
+        ``k`` of a homogeneous single-shard fleet run with this seed.
     event_mode:
         ``"exclusive"`` (chain-faithful, default) or ``"independent"``
         -- same slot semantics as :class:`SimulationEngine`.
-    backend:
-        ``"numpy"`` (default) keeps the historical sequential-PCG64
-        step, preserving every committed golden value.  ``"numba"`` or
-        ``"auto"`` switch the engine to the stateless SplitMix64
-        *counter* RNG (the fleet engine's randomness) and -- when numba
-        is importable -- run the jit-compiled step kernel; without
-        numba the bit-identical NumPy port of the same kernel runs
-        instead, so results never depend on whether numba is installed.
-        Counter mode requires an integer ``seed`` (``None`` means 0).
+    walk:
+        ``None`` for the paper's uniform walk, or a
+        :class:`~repro.mobility.ctrw.CTRWSpec` for residence-clock
+        mobility (``event_mode`` then plays no role).
+    record_ring_hits:
+        Count the ring each call finds its terminal in (see
+        :meth:`ring_hit_distribution`).
     """
 
     def __init__(
@@ -208,14 +183,9 @@ class VectorizedDistanceEngine:
         terminals: int = 1024,
         seed=None,
         event_mode: str = "exclusive",
-        backend: str = "numpy",
         walk: Optional[CTRWSpec] = None,
         record_ring_hits: bool = False,
     ) -> None:
-        if event_mode not in _EVENT_MODES:
-            raise ParameterError(
-                f"event_mode must be one of {_EVENT_MODES}, got {event_mode!r}"
-            )
         if terminals < 1:
             raise ParameterError(f"terminals must be >= 1, got {terminals}")
         if walk is not None and not isinstance(walk, CTRWSpec):
@@ -223,64 +193,33 @@ class VectorizedDistanceEngine:
                 f"walk must be a CTRWSpec (or None for the paper's uniform "
                 f"walk), got {walk!r}"
             )
-        self.topology = topology
+        if seed is None:
+            seed = 0
+        if not isinstance(seed, (int, np.integer)):
+            raise ParameterError(
+                f"the counter RNG needs an integer seed; got {seed!r}"
+            )
         self.threshold = validate_threshold(threshold)
         validate_delay(max_delay)
-        self.mobility = mobility
-        self.costs = costs
-        self.event_mode = event_mode
-        self.terminals = int(terminals)
-        self.walk_spec = walk
-        self.backend = validate_backend(backend)
-        # Timed (CTRW) mobility always runs the stateless counter RNG:
-        # per-terminal residence clocks need layout-free per-slot
-        # streams.  The compiled homogeneous kernel does not implement
-        # residence clocks yet, so the NumPy port of the counter step
-        # is the resolved backend whatever was requested.
-        self._counter_mode = walk is not None or self.backend != "numpy"
-        if walk is not None:
-            self.backend_resolved = "numpy"
-        else:
-            self.backend_resolved = (
-                resolve_backend(self.backend) if self._counter_mode else "numpy"
-            )
-        if self._counter_mode:
-            if seed is None:
-                seed = 0
-            if not isinstance(seed, (int, np.integer)):
-                raise ParameterError(
-                    f"the counter RNG (backend={self.backend!r}, "
-                    f"walk={'set' if walk is not None else 'None'}) needs an "
-                    f"integer seed; got {seed!r}"
-                )
-            self._seed = int(seed)
-            self._idx_keys = terminal_keys(0, self.terminals)
-            c = mobility.call_probability
-            q = mobility.move_probability
-            self._call_bound = unit_bound(c)
-            self._move_bound = unit_bound(c + q if event_mode == "exclusive" else q)
-        self.rng = np.random.default_rng(seed)
         if plan is not None and plan.threshold != self.threshold:
             raise ParameterError(
                 f"plan is for threshold {plan.threshold}, engine uses "
                 f"{self.threshold}"
             )
         self.plan = plan if plan is not None else sdf_partition(self.threshold, max_delay)
-        self._dirs, self._distance = _lattice_kernel(topology)
-        # Paging lookup tables: ring index -> 0-based polling cycle, and
-        # cycle -> cumulative cells polled (w_j of eqn (64)).
-        ring_to_cycle = np.empty(self.threshold + 1, dtype=np.int64)
-        for cycle, group in enumerate(self.plan.subareas):
-            for ring in group:
-                ring_to_cycle[ring] = cycle
-        self._ring_to_cycle = ring_to_cycle
-        self._cumulative_polled = np.asarray(
-            self.plan.cumulative_polled(topology), dtype=np.int64
+        self.mobility = mobility
+        self.costs = costs
+        self.terminals = int(terminals)
+        self.walk_spec = walk
+        super().__init__(
+            topology,
+            terminal_keys(0, self.terminals),
+            int(seed),
+            event_mode,
+            mobility.move_probability,
+            mobility.call_probability,
+            [self.plan],
         )
-        # Center-relative positions: the whole batch starts freshly
-        # fixed at its (arbitrary) start cells.
-        self._pos = np.zeros((self.terminals, self._dirs.shape[1]), dtype=np.int64)
-        self._cols = tuple(self._pos.T)
         if walk is not None:
             degree = self._dirs.shape[0]
             if walk.drift_direction >= degree:
@@ -298,7 +237,6 @@ class VectorizedDistanceEngine:
             )
             self._last_dir = np.full(self.terminals, -1, dtype=np.int64)
         self._record_ring_hits = bool(record_ring_hits)
-        self.slot = 0
         # Metric handles, resolved once at construction (None when no
         # observability session is installed).  The vectorized engine
         # reports in bulk per run() call -- per-slot instrumentation
@@ -310,10 +248,6 @@ class VectorizedDistanceEngine:
                 "d": self.threshold,
                 "engine": "vectorized",
             }
-            if self._counter_mode:
-                # Only non-default backends are labelled, so the metric
-                # identities of existing golden exports are untouched.
-                labels["backend"] = self.backend_resolved
             registry = obs.registry
             self._tracer = obs.tracer
             self._instruments = {
@@ -332,11 +266,10 @@ class VectorizedDistanceEngine:
             self._tracer = None
             self._instruments = None
         self.reset_meters()
-
     # ------------------------------------------------------------------
 
     def reset_meters(self) -> None:
-        """Zero every terminal's meter (positions and RNG are kept).
+        """Zero every terminal's meter (positions and slot clock are kept).
 
         The vectorized analogue of swapping a fresh
         :class:`~repro.simulation.metrics.CostMeter` into an engine
@@ -351,6 +284,7 @@ class VectorizedDistanceEngine:
         self._polled_cells = np.zeros(K, dtype=np.int64)
         self._cost_sum = np.zeros(K, dtype=np.float64)
         self._cost_sq_sum = np.zeros(K, dtype=np.float64)
+        self._slot_cost = np.zeros(K, dtype=np.float64)
         self._delay_counts = np.zeros((K, cycles), dtype=np.int64)
         self._ring_hits = (
             np.zeros(self.threshold + 1, dtype=np.int64)
@@ -405,49 +339,10 @@ class VectorizedDistanceEngine:
         return self.result()
 
     def _advance(self, slots: int) -> None:
-        """Run ``slots`` steps on whichever backend resolution picked."""
-        if slots == 0:
-            return
-        if self.walk_spec is not None:
-            for _ in range(slots):
-                self._step_ctrw()
-        elif self._counter_mode and self.backend_resolved == "numba":
-            self._run_compiled(slots)
-        elif self._counter_mode:
-            for _ in range(slots):
-                self._step_counter()
-        else:
-            for _ in range(slots):
-                self._step()
-
-    def _run_compiled(self, slots: int) -> None:  # pragma: no cover - numba
-        homogeneous_step, _ = compiled_kernels()
-        homogeneous_step(
-            self._pos,
-            self._dirs,
-            np.int64(topology_code(self.topology)),
-            np.int64(0 if self.event_mode == "exclusive" else 1),
-            np.uint64(self._seed),
-            self._idx_keys,
-            np.int64(self.slot),
-            np.int64(slots),
-            float(self.mobility.move_probability),
-            float(self.mobility.call_probability),
-            np.int64(self.threshold),
-            float(self.costs.update_cost),
-            float(self.costs.poll_cost),
-            self._ring_to_cycle,
-            self._cumulative_polled,
-            self._moves,
-            self._updates,
-            self._calls,
-            self._polled_cells,
-            self._delay_counts,
-            self._cost_sum,
-            self._cost_sq_sum,
-        )
-        self._metered_slots += slots
-        self.slot += slots
+        """Run ``slots`` steps of the uniform or the timed (CTRW) walk."""
+        step = self._step_counter if self.walk_spec is None else self._step_ctrw
+        for _ in range(slots):
+            step()
 
     def _record_run(self, before: tuple, slots: int) -> None:
         """Fold one observed run() into the metrics registry.
@@ -484,156 +379,29 @@ class VectorizedDistanceEngine:
 
     def snapshots(self) -> List[MeterSnapshot]:
         """One :class:`MeterSnapshot` per terminal (CostMeter semantics)."""
-        out: List[MeterSnapshot] = []
-        slots = self._metered_slots
-        U, V = self.costs.update_cost, self.costs.poll_cost
-        for k in range(self.terminals):
-            if slots:
-                mean = self._cost_sum[k] / slots
-            else:
-                mean = 0.0
-            if slots >= 2:
-                var = max(self._cost_sq_sum[k] / slots - mean * mean, 0.0)
-                half = _Z95 * math.sqrt(var / slots)
-            else:
-                half = math.inf
-            calls = int(self._calls[k])
-            counts = self._delay_counts[k]
-            if calls:
-                delay = float(
-                    np.arange(1, counts.size + 1, dtype=np.float64) @ counts
-                ) / calls
-            else:
-                delay = 0.0
-            out.append(
-                MeterSnapshot(
-                    slots=slots,
-                    moves=int(self._moves[k]),
-                    updates=int(self._updates[k]),
-                    calls=calls,
-                    polled_cells=int(self._polled_cells[k]),
-                    update_cost=int(self._updates[k]) * U,
-                    paging_cost=int(self._polled_cells[k]) * V,
-                    mean_total_cost=float(mean),
-                    total_cost_half_width_95=float(half),
-                    mean_paging_delay=delay,
-                    delay_histogram={
-                        cycle + 1: int(count)
-                        for cycle, count in enumerate(counts)
-                        if count
-                    },
-                )
+        return [
+            _meter_snapshot(
+                self._metered_slots,
+                int(self._moves[k]),
+                int(self._updates[k]),
+                int(self._calls[k]),
+                int(self._polled_cells[k]),
+                self._cost_sum[k],
+                self._cost_sq_sum[k],
+                self._delay_counts[k],
+                self.costs,
             )
-        return out
+            for k in range(self.terminals)
+        ]
 
     # -- internals --------------------------------------------------------
 
-    def _step(self) -> None:
-        c = self.mobility.call_probability
-        q = self.mobility.move_probability
-        if self.event_mode == "exclusive":
-            u = self.rng.random(self.terminals)
-            called = u < c
-            moved = (u >= c) & (u < c + q)
-        else:
-            moved = self.rng.random(self.terminals) < q
-            called = self.rng.random(self.terminals) < c
-        slot_cost = np.zeros(self.terminals, dtype=np.float64)
-        # Calls first -- same within-slot order as SimulationEngine's
-        # independent mode; in exclusive mode the events are disjoint
-        # and the order is immaterial.
-        if called.any():
-            self._handle_calls(called, slot_cost)
-        if moved.any():
-            self._handle_moves(moved, slot_cost)
-        self._cost_sum += slot_cost
-        self._cost_sq_sum += slot_cost * slot_cost
-        self._metered_slots += 1
-        self.slot += 1
-
-    def _handle_calls(self, called: np.ndarray, slot_cost: np.ndarray) -> None:
-        callers = np.flatnonzero(called)
-        slot_cost[callers] += self.costs.poll_cost * self._page(callers)
-
-    def _page(self, callers: np.ndarray) -> np.ndarray:
-        """Page the ascending ``callers``; return their polled-cell counts."""
-        rings = self._distance([col[callers] for col in self._cols])
-        if self._ring_hits is not None:
-            self._ring_hits += np.bincount(rings, minlength=self.threshold + 1)
-        cycles = self._ring_to_cycle[rings]
-        polled = self._cumulative_polled[cycles]
-        self._calls[callers] += 1
-        self._polled_cells[callers] += polled
-        self._delay_counts[callers, cycles] += 1
-        # The network pinpointed these terminals: their cells become the
-        # new centers, i.e. the relative position resets to the origin.
-        for col in self._cols:
-            col[callers] = 0
-        return polled
-
-    def _handle_moves(self, moved: np.ndarray, slot_cost: np.ndarray) -> None:
-        steps = self._dirs[
-            self.rng.integers(self._dirs.shape[0], size=int(moved.sum()))
-        ]
-        self._pos[moved] += steps
-        self._moves[moved] += 1
-        # Threshold test on the movers only; crossing the residing-area
-        # boundary triggers an update and re-centers the terminal.
-        updating = moved.copy()
-        updating[moved] = self._distance(self._pos[moved].T) > self.threshold
-        if updating.any():
-            self._updates[updating] += 1
-            slot_cost[updating] += self.costs.update_cost
-            self._pos[updating] = 0
-
-    # -- counter-RNG backend (NumPy port of the jit kernel) ---------------
-
     def _step_counter(self) -> None:
-        """One slot on the counter RNG -- bit-identical to the jit kernel.
-
-        Same hashes, same within-slot order (calls then moves), and the
-        same per-terminal float arithmetic as
-        ``kernels.homogeneous_step`` (``V * polled``, then ``+ U``), so
-        every meter -- including the float cost accumulators -- matches
-        the compiled execution bit for bit.  Only terminals with an
-        event are touched: an idle terminal's slot cost is ``0.0``, and
-        adding it to the accumulators is exact.
-        """
+        """One slot of the paper's uniform walk."""
         t = self.slot
-        events, draws = counter_below(
-            self._idx_keys, self._seed, STREAM_EVENT, t, self._move_bound
-        )
-        if self.event_mode == "exclusive":
-            call = draws < self._call_bound
-            callers, movers = events[call], events[~call]
-        else:
-            movers = events
-            callers, _ = counter_below(
-                self._idx_keys, self._seed, STREAM_CALL, t, self._call_bound
-            )
-        rows = callers
-        cost = self.costs.poll_cost * self._page(callers)
-        updating = _move_columns(
-            self._cols, self._dirs, self._distance, self._idx_keys,
-            self._seed, t, movers, self.threshold,
-        )
-        self._moves[movers] += 1
-        if updating.size:
-            self._updates[updating] += 1
-            U = self.costs.update_cost
-            # Independent mode lets a terminal call and update in one
-            # slot; its slot cost is then ``V * polled + U``.
-            both = np.isin(callers, updating, assume_unique=True)
-            cost[both] += U
-            only = updating[~np.isin(updating, callers, assume_unique=True)]
-            rows = np.concatenate((rows, only))
-            cost = np.concatenate((cost, np.full(only.size, U, dtype=np.float64)))
-        self._cost_sum[rows] += cost
-        self._cost_sq_sum[rows] += cost * cost
-        self._metered_slots += 1
-        self.slot += 1
-
-    # -- timed (CTRW) mobility on the counter RNG -------------------------
+        callers, movers = self._draw_events(t)
+        cost = self._meter_calls(callers)
+        self._finish_slot(callers, cost, movers, self._move(movers, t, self.threshold))
 
     def _step_ctrw(self) -> None:
         """One slot of residence-clock mobility.
@@ -641,34 +409,21 @@ class VectorizedDistanceEngine:
         Timed slot semantics (the same as SimulationEngine's timed
         path): the call is the only probabilistic per-slot event,
         processed before the move; every terminal's residence clock
-        then ticks, and expired clocks move.  ``event_mode`` plays no
-        role -- a CTRW has no per-slot move probability to compete
-        with the call draw.
+        then ticks, and expired clocks move and re-arm for their new
+        cells.  ``event_mode`` plays no role -- a CTRW has no per-slot
+        move probability to compete with the call draw.
         """
-        c = self.mobility.call_probability
-        called = (
-            counter_uniforms(self._idx_keys, self._seed, STREAM_CALL, self.slot)
-            < c
+        t = self.slot
+        callers, _ = counter_below(
+            self._idx_keys, self._seed, STREAM_CALL, t, self._call_bound
         )
-        slot_cost = np.zeros(self.terminals, dtype=np.float64)
-        if called.any():
-            self._handle_calls(called, slot_cost)
+        cost = self._meter_calls(callers)
         self._residence -= 1
-        moved = self._residence <= 0
-        if moved.any():
-            self._handle_moves_ctrw(moved, slot_cost)
-        self._cost_sum += slot_cost
-        self._cost_sq_sum += slot_cost * slot_cost
-        self._metered_slots += 1
-        self.slot += 1
-
-    def _handle_moves_ctrw(self, moved: np.ndarray, slot_cost: np.ndarray) -> None:
-        movers = np.nonzero(moved)[0]
+        movers = np.flatnonzero(self._residence <= 0)
         spec = self.walk_spec
         keys = self._idx_keys[movers]
-        u_dir = counter_uniforms(keys, self._seed, STREAM_DIRECTION, self.slot)
         directions = drifted_directions(
-            u_dir,
+            counter_uniforms(keys, self._seed, STREAM_DIRECTION, t),
             self._dirs.shape[0],
             spec.drift,
             spec.drift_direction,
@@ -676,18 +431,52 @@ class VectorizedDistanceEngine:
             self._last_dir[movers],
         )
         self._last_dir[movers] = directions
-        self._pos[movers] += self._dirs[directions]
-        self._moves[movers] += 1
-        # Re-arm the movers' clocks for their new cells.
         self._residence[movers] = spec.residence.from_uniforms(
-            counter_uniforms(keys, self._seed, STREAM_RESIDENCE_BRANCH, self.slot),
-            counter_uniforms(keys, self._seed, STREAM_RESIDENCE, self.slot),
+            counter_uniforms(keys, self._seed, STREAM_RESIDENCE_BRANCH, t),
+            counter_uniforms(keys, self._seed, STREAM_RESIDENCE, t),
         )
-        updating = movers[self._distance(self._pos[movers].T) > self.threshold]
-        if updating.size:
-            self._updates[updating] += 1
-            slot_cost[updating] += self.costs.update_cost
-            self._pos[updating] = 0
+        updating = self._move(movers, t, self.threshold, directions)
+        self._finish_slot(callers, cost, movers, updating)
+
+    def _meter_calls(self, callers: np.ndarray) -> np.ndarray:
+        """Page and meter ``callers``; return their slot costs ``V * polled``."""
+        rings, cycles, polled = self._page(callers)
+        if self._ring_hits is not None:
+            self._ring_hits += np.bincount(rings, minlength=self.threshold + 1)
+        self._calls[callers] += 1
+        self._polled_cells[callers] += polled
+        self._delay_counts[callers, cycles] += 1
+        return self.costs.poll_cost * polled
+
+    def _finish_slot(
+        self,
+        callers: np.ndarray,
+        cost: np.ndarray,
+        movers: np.ndarray,
+        updating: np.ndarray,
+    ) -> None:
+        """Meter moves and updates, then fold the slot costs in.
+
+        Only terminals with an event are touched: an idle terminal's
+        slot cost is ``0.0``, and adding it to the accumulators is
+        exact.  Slot costs gather in ``_slot_cost``, zero outside this
+        method, so a caller that also updates (independent mode, or a
+        CTRW move) costs ``V * polled + U``.  Such a terminal is listed
+        twice in ``rows``; fancy-index ``+=`` reads every row before it
+        writes, so it is still added once.
+        """
+        self._moves[movers] += 1
+        self._updates[updating] += 1
+        slot_cost = self._slot_cost
+        slot_cost[callers] = cost
+        slot_cost[updating] += self.costs.update_cost
+        rows = np.concatenate((callers, updating))
+        cost = slot_cost[rows]
+        self._cost_sum[rows] += cost
+        self._cost_sq_sum[rows] += cost * cost
+        slot_cost[rows] = 0.0
+        self._metered_slots += 1
+        self.slot += 1
 
 
 def replay_trace_meters(
@@ -714,21 +503,15 @@ def replay_trace_meters(
             f"plan is for threshold {plan.threshold}, replay uses {threshold}"
         )
     plan = plan if plan is not None else sdf_partition(threshold, max_delay)
-    dirs, distance = _lattice_kernel(trace.topology)
-    ring_to_cycle = np.empty(threshold + 1, dtype=np.int64)
-    for cycle, group in enumerate(plan.subareas):
-        for ring in group:
-            ring_to_cycle[ring] = cycle
-    cumulative_polled = np.asarray(
-        plan.cumulative_polled(trace.topology), dtype=np.int64
-    )
+    _, distance = _lattice_kernel(trace.topology)
+    (ring_to_cycle,), (cumulative_polled,) = _paging_tables([plan], trace.topology)
 
     def coords(cell) -> np.ndarray:
         raw = cell if isinstance(cell, tuple) else (cell,)
         return np.asarray(raw, dtype=np.int64)
 
-    pos = np.zeros((1, dirs.shape[1]), dtype=np.int64)
     prev = coords(trace.start)
+    pos = np.zeros_like(prev)
     moves = updates = calls = polled_cells = 0
     cost_sum = cost_sq_sum = 0.0
     delay_counts = np.zeros(plan.delay_bound, dtype=np.int64)
@@ -736,7 +519,7 @@ def replay_trace_meters(
     for cell, call in trace.steps:
         slot_cost = 0.0
         if call:
-            ring = int(distance(pos.T)[0])
+            ring = int(distance(pos[:, None])[0])
             if ring > threshold:
                 raise ParameterError(
                     f"trace is inconsistent with threshold {threshold}: a call "
@@ -751,44 +534,18 @@ def replay_trace_meters(
             pos[:] = 0
         here = coords(cell)
         if not np.array_equal(here, prev):
-            pos[0] += here - prev
+            pos += here - prev
             moves += 1
-            if int(distance(pos.T)[0]) > threshold:
+            if int(distance(pos[:, None])[0]) > threshold:
                 updates += 1
                 slot_cost += U
                 pos[:] = 0
         prev = here
         cost_sum += slot_cost
         cost_sq_sum += slot_cost * slot_cost
-    slots = len(trace.steps)
-    mean = cost_sum / slots if slots else 0.0
-    if slots >= 2:
-        var = max(cost_sq_sum / slots - mean * mean, 0.0)
-        half = _Z95 * math.sqrt(var / slots)
-    else:
-        half = math.inf
-    if calls:
-        delay = float(
-            np.arange(1, delay_counts.size + 1, dtype=np.float64) @ delay_counts
-        ) / calls
-    else:
-        delay = 0.0
-    return MeterSnapshot(
-        slots=slots,
-        moves=moves,
-        updates=updates,
-        calls=calls,
-        polled_cells=polled_cells,
-        update_cost=updates * U,
-        paging_cost=polled_cells * V,
-        mean_total_cost=float(mean),
-        total_cost_half_width_95=float(half),
-        mean_paging_delay=delay,
-        delay_histogram={
-            cycle + 1: int(count)
-            for cycle, count in enumerate(delay_counts)
-            if count
-        },
+    return _meter_snapshot(
+        len(trace.steps), moves, updates, calls, polled_cells,
+        cost_sum, cost_sq_sum, delay_counts, costs,
     )
 
 
@@ -802,7 +559,6 @@ def throughput_report(
     vector_slots: int = 20_000,
     terminals: int = 1024,
     seed: int = 0,
-    backend: str = "numpy",
 ) -> dict:
     """Measure slots/sec of the per-cell engine vs the vectorized one.
 
@@ -834,7 +590,6 @@ def throughput_report(
         max_delay=max_delay,
         terminals=terminals,
         seed=seed,
-        backend=backend,
     )
     tic = time.perf_counter()
     vectorized.run(vector_slots)
@@ -854,7 +609,6 @@ def throughput_report(
             "update_cost": costs.update_cost,
             "poll_cost": costs.poll_cost,
             "seed": seed,
-            "backend": backend,
         },
         "engine": {
             "terminal_slots": engine_slots,
@@ -867,88 +621,6 @@ def throughput_report(
             "terminal_slots": vector_slots * terminals,
             "seconds": vector_seconds,
             "slots_per_sec": vector_rate,
-            "backend": vectorized.backend_resolved,
         },
         "speedup": vector_rate / engine_rate if engine_rate else math.inf,
-    }
-
-
-def compare_backends_report(
-    topology: CellTopology,
-    threshold: int,
-    mobility: MobilityParams,
-    costs: CostParams,
-    max_delay=1,
-    slots: int = 5_000,
-    terminals: int = 2_048,
-    seed: int = 0,
-) -> dict:
-    """Time every execution backend on one configuration.
-
-    Rows: ``numpy`` (legacy sequential-PCG64 step), ``numpy-counter``
-    (the counter-RNG kernel forced onto its NumPy port), and -- when
-    numba is importable -- ``numba`` (the jit-compiled kernel).  The
-    ``numpy-counter`` and ``numba`` rows report the same mean cost bit
-    for bit; that agreement is part of the output so speedup claims and
-    the identity contract are reproducible with one command
-    (``repro-lm speed --compare-backends``).
-    """
-    rows = [("numpy", "numpy", False), ("numpy-counter", "auto", True)]
-    if numba_available():
-        rows.append(("numba", "numba", False))
-    out_rows = []
-    for name, requested, force in rows:
-        def _build():
-            return VectorizedDistanceEngine(
-                topology=topology,
-                threshold=threshold,
-                mobility=mobility,
-                costs=costs,
-                max_delay=max_delay,
-                terminals=terminals,
-                seed=seed,
-                backend=requested,
-            )
-
-        if force:
-            with use_numpy_fallback():
-                engine = _build()
-        else:
-            engine = _build()
-        if engine.backend_resolved == "numba":  # pragma: no cover - numba
-            # Trigger compilation outside the timed window, on a
-            # throwaway engine so the timed one still starts at slot 0
-            # (keeping its meters bit-comparable to the numpy-counter
-            # row).
-            _build().run(1)
-        tic = time.perf_counter()
-        result = engine.run(slots)
-        seconds = time.perf_counter() - tic
-        terminal_slots = slots * terminals
-        out_rows.append(
-            {
-                "name": name,
-                "requested": requested,
-                "resolved": engine.backend_resolved,
-                "terminal_slots": terminal_slots,
-                "seconds": seconds,
-                "slots_per_sec": terminal_slots / seconds if seconds else math.inf,
-                "mean_total_cost": result.mean_total_cost,
-            }
-        )
-    return {
-        "config": {
-            "topology": repr(topology),
-            "threshold": threshold,
-            "max_delay": None if max_delay == math.inf else max_delay,
-            "q": mobility.move_probability,
-            "c": mobility.call_probability,
-            "update_cost": costs.update_cost,
-            "poll_cost": costs.poll_cost,
-            "seed": seed,
-            "slots": slots,
-            "terminals": terminals,
-        },
-        "numba_available": numba_available(),
-        "backends": out_rows,
     }

@@ -1,11 +1,11 @@
-"""Counter-RNG backend plumbing on the simulation engines.
+"""Counter-RNG engines and the fleet's backend plumbing.
 
-Everything here runs without numba: a non-``"numpy"`` backend switches
-the engines to the stateless counter RNG whether or not the compiled
-kernel is importable, and the NumPy port is the reference the compiled
-kernel must match bit-for-bit.  The ``numba``-marked tier at the bottom
-only runs on hosts with the optional extra installed and pins the
-compiled kernel against that reference.
+Everything here runs without numba: the vectorized engine always steps
+the NumPy counter-RNG chain, and the fleet's ``backend`` only selects
+whether the compiled ``fleet_step`` or that same NumPy chain executes a
+shard.  The ``numba``-marked tier at the bottom only runs on hosts with
+the optional extra installed and pins the compiled fleet kernel against
+its NumPy reference.
 """
 
 from contextlib import nullcontext
@@ -21,24 +21,16 @@ from repro.core.backend import (
 from repro.core.parameters import CostParams, MobilityParams
 from repro.exceptions import ParameterError
 from repro.geometry import HexTopology, LineTopology, SquareTopology
-from repro.simulation.fleet import FleetSpec, run_fleet
+from repro.simulation.fleet import FleetShardEngine, FleetSpec, run_fleet
 from repro.simulation.kernels import kernel_compile_info, topology_code
-from repro.simulation.vectorized import (
-    VectorizedDistanceEngine,
-    compare_backends_report,
-)
+from repro.simulation.vectorized import VectorizedDistanceEngine
 from repro.workload import DEFAULT_MIX, Population
 
 MOBILITY = MobilityParams(move_probability=0.25, call_probability=0.03)
 COSTS = CostParams(update_cost=40.0, poll_cost=2.0)
 
-_STATE_ARRAYS = (
-    "_moves", "_updates", "_calls", "_polled_cells",
-    "_delay_counts", "_cost_sum", "_cost_sq_sum", "_pos",
-)
 
-
-def _engine(backend="auto", topology=None, event_mode="exclusive", seed=7):
+def _engine(topology=None, event_mode="exclusive", seed=7):
     return VectorizedDistanceEngine(
         topology if topology is not None else HexTopology(),
         3,
@@ -48,7 +40,18 @@ def _engine(backend="auto", topology=None, event_mode="exclusive", seed=7):
         terminals=96,
         seed=seed,
         event_mode=event_mode,
-        backend=backend,
+    )
+
+
+def _columns(count):
+    """Fleet shard columns matching ``_engine``'s homogeneous point."""
+    return dict(
+        q=np.full(count, MOBILITY.move_probability),
+        c=np.full(count, MOBILITY.call_probability),
+        update_cost=np.full(count, COSTS.update_cost),
+        poll_cost=np.full(count, COSTS.poll_cost),
+        threshold=np.full(count, 3),
+        profile_index=np.zeros(count, dtype=np.int64),
     )
 
 
@@ -57,14 +60,26 @@ def _engine(backend="auto", topology=None, event_mode="exclusive", seed=7):
                          ids=lambda t: type(t).__name__)
 @pytest.mark.parametrize("event_mode", ["exclusive", "independent"])
 def test_counter_engine_bit_identical_to_forced_fallback(topology, event_mode):
-    resolved = _engine(topology=topology, event_mode=event_mode)
-    resolved.run(300)
-    with use_numpy_fallback():
-        fallback = _engine(topology=topology, event_mode=event_mode)
-    fallback.run(300)
-    for name in _STATE_ARRAYS:
+    # The vectorized engine replays a homogeneous fleet shard exactly,
+    # whether the shard runs the compiled kernel or is forced onto the
+    # NumPy chain.
+    engine = _engine(topology=topology, event_mode=event_mode)
+    engine.run(300)
+    for fallback in (False, True):
+        with use_numpy_fallback() if fallback else nullcontext():
+            shard = FleetShardEngine(
+                topology, n_profiles=1, max_delay=2, seed=7,
+                event_mode=event_mode, backend="auto", **_columns(96),
+            )
+        shard.run(300)
+        for mine, theirs in (("_pos", "_pos"), ("_moves", "_moves"),
+                             ("_updates", "_updates"), ("_calls", "_calls"),
+                             ("_polled_cells", "_polled")):
+            np.testing.assert_array_equal(
+                getattr(engine, mine), getattr(shard, theirs), err_msg=mine
+            )
         np.testing.assert_array_equal(
-            getattr(resolved, name), getattr(fallback, name), err_msg=name
+            engine._delay_counts.sum(axis=0), shard._delay_counts
         )
 
 
@@ -85,35 +100,17 @@ def test_counter_engine_requires_integer_seed():
 
 
 def test_backend_attributes_resolve():
-    legacy = _engine(backend="numpy")
-    assert legacy.backend == legacy.backend_resolved == "numpy"
-    counter = _engine(backend="auto")
-    assert counter.backend == "auto"
-    assert counter.backend_resolved == (
+    shard = FleetShardEngine(
+        HexTopology(), n_profiles=1, max_delay=2, **_columns(8)
+    )
+    assert shard.backend == shard.backend_resolved == "numpy"
+    shard = FleetShardEngine(
+        HexTopology(), n_profiles=1, max_delay=2, backend="auto", **_columns(8)
+    )
+    assert shard.backend == "auto"
+    assert shard.backend_resolved == (
         "numba" if numba_available() else "numpy"
     )
-
-
-def test_counter_and_legacy_backends_agree_statistically():
-    legacy = _engine(backend="numpy", seed=3).run(4000)
-    counter = _engine(backend="auto", seed=3).run(4000)
-    assert counter.mean_total_cost == pytest.approx(
-        legacy.mean_total_cost, rel=0.15
-    )
-
-
-def test_compare_backends_report_shape():
-    report = compare_backends_report(
-        HexTopology(), 3, MOBILITY, COSTS,
-        max_delay=2, slots=200, terminals=64, seed=0,
-    )
-    names = [row["name"] for row in report["backends"]]
-    assert names[:2] == ["numpy", "numpy-counter"]
-    assert ("numba" in names) == report["numba_available"]
-    for row in report["backends"]:
-        assert row["slots_per_sec"] > 0
-        assert row["terminal_slots"] == 200 * 64
-    assert report["config"]["terminals"] == 64
 
 
 def test_fleet_totals_independent_of_backend_request():
@@ -155,14 +152,11 @@ def test_kernel_compile_info_reports_host_state():
 def test_compiled_kernels_importable_and_bit_identical():
     from repro.simulation.kernels import compiled_kernels
 
-    kernels = compiled_kernels()
-    assert kernels is not None
-    compiled = _engine(backend="numba")
-    compiled.run(300)
+    assert compiled_kernels() is not None
+    spec = FleetSpec.homogeneous(HexTopology(), 3, MOBILITY, COSTS, 2, 96)
+    compiled = run_fleet(spec, slots=300, seed=7, backend="numba")
     with use_numpy_fallback():
-        interpreted = _engine(backend="numba")
-    interpreted.run(300)
-    for name in _STATE_ARRAYS:
-        np.testing.assert_array_equal(
-            getattr(compiled, name), getattr(interpreted, name), err_msg=name
-        )
+        interpreted = run_fleet(spec, slots=300, seed=7, backend="numba")
+    for field in ("moves", "updates", "calls", "polled_cells",
+                  "delay_histogram"):
+        assert getattr(compiled, field) == getattr(interpreted, field), field

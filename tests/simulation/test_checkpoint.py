@@ -129,6 +129,77 @@ class TestCheckpointResume:
             campaign(checkpoint=path)
 
 
+class TestCheckpointEntries:
+    """A resume pools only this campaign's replications, each once."""
+
+    @staticmethod
+    def _tamper(tmp_path, edit):
+        path = tmp_path / "campaign.json"
+        campaign(checkpoint=path, replications=3, slots=500)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps(edit(payload)))
+        return path
+
+    def _refused(self, tmp_path, edit, match):
+        path = self._tamper(tmp_path, edit)
+        with pytest.raises(ParameterError, match=match):
+            campaign(checkpoint=path, replications=3, slots=500)
+
+    def test_refuses_index_outside_the_campaign(self, tmp_path):
+        def extra(payload):
+            payload["snapshots"].append(dict(payload["snapshots"][0], index=9))
+            return payload
+
+        self._refused(tmp_path, extra, "outside")
+
+    def test_refuses_negative_index(self, tmp_path):
+        def negative(payload):
+            payload["snapshots"][0]["index"] = -1
+            return payload
+
+        self._refused(tmp_path, negative, "outside")
+
+    def test_refuses_duplicate_index(self, tmp_path):
+        def duplicate(payload):
+            payload["snapshots"].append(payload["snapshots"][0])
+            return payload
+
+        self._refused(tmp_path, duplicate, "twice")
+
+    def test_refuses_json_list(self, tmp_path):
+        self._refused(tmp_path, lambda payload: [payload], "JSON object")
+
+    def test_refuses_missing_snapshots(self, tmp_path):
+        def drop(payload):
+            del payload["snapshots"]
+            return payload
+
+        self._refused(tmp_path, drop, "list of entries")
+
+    def test_refuses_entry_without_index(self, tmp_path):
+        def drop(payload):
+            del payload["snapshots"][0]["index"]
+            return payload
+
+        self._refused(tmp_path, drop, "malformed entry")
+
+    def test_refuses_malformed_partial(self, tmp_path):
+        def partial(payload):
+            payload["partials"] = [{"index": 0}]
+            return payload
+
+        self._refused(tmp_path, partial, "malformed entry")
+
+    def test_valid_checkpoint_resumes_to_identical_totals(self, tmp_path):
+        full = campaign(replications=3, slots=500)
+        path = self._tamper(
+            tmp_path, lambda payload: dict(payload, snapshots=payload["snapshots"][:2])
+        )
+        resumed = campaign(checkpoint=path, replications=3, slots=500)
+        assert resumed.snapshots == full.snapshots
+        assert resumed.mean_total_cost == full.mean_total_cost
+
+
 class TestCheckpointIdentity:
     """The fingerprint must pin down *what* was simulated, not just how much."""
 

@@ -277,6 +277,85 @@ class TestFleetCheckpoint:
             run_fleet(spec, slots=10, shards=2, seed=3, checkpoint=path)
 
 
+class TestFleetCheckpointEntries:
+    """A resume pools only this run's shards, each exactly once."""
+
+    @staticmethod
+    def _tamper(spec, tmp_path, edit):
+        path = tmp_path / "fleet.ckpt.json"
+        run_fleet(spec, slots=20, shards=2, seed=3, checkpoint=path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps(edit(payload)))
+        return path
+
+    def _refused(self, spec, tmp_path, edit, match):
+        path = self._tamper(spec, tmp_path, edit)
+        with pytest.raises(ParameterError, match=match):
+            run_fleet(spec, slots=20, shards=2, seed=3, checkpoint=path)
+
+    def test_refuses_index_outside_the_run(self, spec, tmp_path):
+        def extra_shard(payload):
+            payload["shards"].append(dict(payload["shards"][0], index=7))
+            return payload
+
+        self._refused(spec, tmp_path, extra_shard, "outside")
+
+    def test_refuses_duplicate_index(self, spec, tmp_path):
+        def duplicate(payload):
+            payload["shards"].append(payload["shards"][0])
+            return payload
+
+        self._refused(spec, tmp_path, duplicate, "twice")
+
+    def test_refuses_snapshot_bounds_that_differ(self, spec, tmp_path):
+        def shifted(payload):
+            payload["shards"][1]["snapshot"]["start"] += 1
+            return payload
+
+        self._refused(spec, tmp_path, shifted, "holds terminals")
+
+    def test_refuses_snapshot_filed_under_another_index(self, spec, tmp_path):
+        def swapped(payload):
+            first, second = payload["shards"]
+            first["index"], second["index"] = 1, 0
+            return payload
+
+        self._refused(spec, tmp_path, swapped, "holds terminals")
+
+    def test_refuses_json_list(self, spec, tmp_path):
+        self._refused(spec, tmp_path, lambda payload: [payload], "JSON object")
+
+    def test_refuses_missing_shards(self, spec, tmp_path):
+        def drop(payload):
+            del payload["shards"]
+            return payload
+
+        self._refused(spec, tmp_path, drop, "list of entries")
+
+    def test_refuses_entry_without_index(self, spec, tmp_path):
+        def drop(payload):
+            del payload["shards"][0]["index"]
+            return payload
+
+        self._refused(spec, tmp_path, drop, "malformed entry")
+
+    def test_refuses_entry_that_is_not_an_object(self, spec, tmp_path):
+        def scalar(payload):
+            payload["shards"][0] = 3
+            return payload
+
+        self._refused(spec, tmp_path, scalar, "malformed entry")
+
+    def test_valid_checkpoint_resumes_to_identical_totals(self, spec, tmp_path):
+        full = run_fleet(spec, slots=20, shards=2, seed=3)
+        path = self._tamper(
+            spec, tmp_path, lambda payload: dict(payload, shards=payload["shards"][1:])
+        )
+        resumed = run_fleet(spec, slots=20, shards=2, seed=3, checkpoint=path)
+        assert resumed.shards == full.shards
+        assert resumed.total_cost == full.total_cost
+
+
 class TestFleetObservability:
     def test_exact_accounting_matches_snapshot_sums(self, spec):
         with obs_context.session() as obs:

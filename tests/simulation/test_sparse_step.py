@@ -103,7 +103,7 @@ class DenseVectorizedEngine(VectorizedDistanceEngine):
             rings = self._distance(self._pos[called].T)
             np.add.at(self._ring_hits, rings, 1)
             cycles = self._ring_to_cycle[rings]
-            polled = self._cumulative_polled[cycles]
+            polled = self._cum_polled[cycles]
             self._calls[called] += 1
             self._polled_cells[called] += polled
             np.add.at(self._delay_counts, (np.nonzero(called)[0], cycles), 1)
@@ -231,7 +231,7 @@ def test_vectorized_counter_step_matches_dense_reference(
         cls(
             topology, threshold, MobilityParams(q, c), CostParams(37.3, 1.7),
             max_delay=2, terminals=count, seed=5, event_mode=event_mode,
-            backend="auto", record_ring_hits=True,
+            record_ring_hits=True,
         )
         for cls in (VectorizedDistanceEngine, DenseVectorizedEngine)
     ]

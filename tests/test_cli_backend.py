@@ -1,18 +1,17 @@
-"""CLI ``--backend`` plumbing and ``speed --compare-backends``."""
+"""CLI ``--backend`` plumbing."""
 
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.backend import numba_available, reset_backend_state
+from repro.core.backend import reset_backend_state
 
 
 class TestBackendFlag:
     def test_default_is_numpy(self):
         for argv in (
             ["simulate", "--q", "0.1", "--c", "0.01", "--threshold", "2"],
-            ["speed"],
             ["fleet"],
             ["sweep", "--vary", "U=20,50"],
         ):
@@ -20,7 +19,7 @@ class TestBackendFlag:
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["speed", "--backend", "cuda"])
+            build_parser().parse_args(["fleet", "--backend", "cuda"])
 
 
 class TestSimulateBackend:
@@ -47,33 +46,11 @@ class TestSimulateBackend:
 
 
 class TestSpeedBackend:
-    def test_backend_flag_reaches_report(self, capsys, tmp_path):
-        path = tmp_path / "speed.json"
-        code = main(
-            ["speed", "--engine-slots", "300", "--vector-slots", "200",
-             "--terminals", "64", "--backend", "auto", "--json", str(path)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "backend:" in out
-        report = json.loads(path.read_text())
-        assert report["config"]["backend"] == "auto"
-        expected = "numba" if numba_available() else "numpy"
-        assert report["vectorized"]["backend"] == expected
-
-    def test_compare_backends_table(self, capsys, tmp_path):
-        path = tmp_path / "compare.json"
-        code = main(
-            ["speed", "--compare-backends", "--vector-slots", "200",
-             "--terminals", "64", "--json", str(path)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Backend comparison" in out
-        assert "numpy-counter" in out
-        report = json.loads(path.read_text())
-        names = [row["name"] for row in report["backends"]]
-        assert names[:2] == ["numpy", "numpy-counter"]
+    def test_speed_has_no_backend_flag(self):
+        # The vectorized engine has one execution path, so ``speed``
+        # takes no --backend.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["speed", "--backend", "auto"])
 
 
 class TestFleetBackend:
