@@ -40,6 +40,7 @@ from ..core.baselines import (
 )
 from ..core.parameters import CostParams, MobilityParams
 from ..exceptions import ParameterError
+from ..persist import json_safe
 from ..strategies.jointly_optimal import optimize_joint_policy
 from .sweep import MODEL_CLASSES, GridSweepResult, grid_sweep
 
@@ -144,7 +145,7 @@ class TournamentResult:
         return {
             "model": self.model_name,
             "axes": [
-                [name, [_json_safe(value) for value in values]]
+                [name, [json_safe(value) for value in values]]
                 for name, values in self.axes
             ],
             "schemes": list(self.schemes),
@@ -157,7 +158,7 @@ class TournamentResult:
                     "c": point.c,
                     "U": point.update_cost,
                     "V": point.poll_cost,
-                    "m": _json_safe(point.max_delay),
+                    "m": json_safe(point.max_delay),
                     "winner": point.winner,
                     "outcomes": {
                         entry.scheme: {
@@ -183,7 +184,7 @@ class TournamentResult:
                 "c": point.c,
                 "U": point.update_cost,
                 "V": point.poll_cost,
-                "m": "inf" if point.max_delay == math.inf else point.max_delay,
+                "m": json_safe(point.max_delay),
                 "winner": point.winner,
             }
             for entry in point.outcomes:
@@ -191,12 +192,6 @@ class TournamentResult:
                 row[f"{entry.scheme}_param"] = entry.parameter
             out.append(row)
         return out
-
-
-def _json_safe(value):
-    if value == math.inf:
-        return "inf"
-    return value
 
 
 def _pick_winner(outcomes: Sequence[SchemeOutcome]) -> str:

@@ -19,15 +19,13 @@ order, making ``workers=N`` output identical to a serial sweep for any
 ``N`` (the same guarantee, by the same construction, as
 :func:`repro.simulation.runner.run_replicated`).
 
-The cache is content-addressed: the file name is the SHA-256 of the
-sweep's parameter fingerprint (model, axes, fixed values, ``d_max``,
-convention), so distinct sweeps never collide and a repeated sweep is a
-single JSON read.  The schema version lives *inside* the payload --
-not in the digest -- so a stale-format file for the same sweep is
-*found* and refused with a clear message rather than silently
-recomputed, mirroring the simulation checkpoint contract.  Sweeps with
-a custom ``plan_factory`` bypass the cache entirely: callables have no
-stable fingerprint.
+The cache is a :mod:`repro.persist` store, content-addressed: the file
+name is the SHA-256 of the sweep's fingerprint (model, axes, fixed
+values, ``d_max``, convention) without its schema version, so distinct
+sweeps never collide and a stale-format file for the same sweep is
+*found* and refused rather than silently recomputed.  Sweeps with a
+custom ``plan_factory`` bypass the cache: callables have no stable
+fingerprint.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ import hashlib
 import json
 import math
 import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -54,8 +51,8 @@ from ..core.parameters import CostParams, MobilityParams, validate_delay
 from ..core.threshold import find_optimal_threshold
 from ..exceptions import ParameterError, SweepPointError
 from ..observability.context import current as _observability
-from ..persist import atomic_write_json
-from ..simulation.runner import _resolve_workers
+from ..persist import json_restore, json_safe, read_state, write_state
+from ..simulation.runner import _resolve_workers, fan_out
 
 __all__ = [
     "SweepPoint",
@@ -250,20 +247,6 @@ def _solve_grid_point(
 # On-disk result cache
 
 
-def _json_safe(value):
-    """Encode a number for the fingerprint/payload (``inf`` -> ``"inf"``)."""
-    if value == math.inf:
-        return "inf"
-    return value
-
-
-def _json_restore(value):
-    """Inverse of :func:`_json_safe`."""
-    if value == "inf":
-        return math.inf
-    return value
-
-
 def _grid_fingerprint(
     model_name: str,
     axes: Tuple[Tuple[str, Tuple[float, ...]], ...],
@@ -282,9 +265,9 @@ def _grid_fingerprint(
         "version": _CACHE_SCHEMA_VERSION,
         "model": model_name,
         "axes": [
-            [param, [_json_safe(v) for v in values]] for param, values in axes
+            [param, [json_safe(v) for v in values]] for param, values in axes
         ],
-        "fixed": {key: _json_safe(value) for key, value in sorted(fixed.items())},
+        "fixed": {key: json_safe(value) for key, value in sorted(fixed.items())},
         "d_max": d_max,
         "convention": convention,
     }
@@ -300,79 +283,35 @@ def _cache_path(cache_dir: Path, fingerprint: dict) -> Path:
 
 
 def _load_cached_points(
-    path: Path, fingerprint: dict
+    path: Path, fingerprint: dict, count: int
 ) -> Optional[Tuple[SweepPoint, ...]]:
-    """Read a cached sweep, validating that it belongs to this request.
-
-    Returns None when the file does not exist; raises
-    :class:`~repro.exceptions.ParameterError` when it exists but cannot
-    be trusted (schema or fingerprint mismatch) -- silence there would
-    hide stale results.
-    """
-    if not path.exists():
+    """The ``count`` cached points of this sweep; None if not cached."""
+    remedy = "delete the file or rerun with the cache disabled (--no-cache)"
+    payload = read_state(
+        path, fingerprint, "sweep cache entry",
+        "sweep (model/axes/fixed parameters/d_max/convention differ)", remedy,
+    )
+    if payload is None:
         return None
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        points = tuple(
+            SweepPoint(**dict(
+                point,
+                max_delay=json_restore(point["max_delay"]),
+                optimal_d=int(point["optimal_d"]),
+            ))
+            for point in payload["points"]
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(
-            f"unreadable sweep cache entry {path}: {exc}; delete the file "
-            "or rerun with the cache disabled (--no-cache)"
+            f"sweep cache entry {path} holds a malformed point ({exc!r}); {remedy}"
         ) from exc
-    stored = payload.get("fingerprint") or {}
-    version = stored.get("version")
-    if version != _CACHE_SCHEMA_VERSION:
+    if len(points) != count:
         raise ParameterError(
-            f"sweep cache entry {path} uses schema version {version!r}, but "
-            f"this library writes version {_CACHE_SCHEMA_VERSION} and cannot "
-            "read other layouts; delete the file (results are recomputed "
-            "deterministically) or rerun with the cache disabled (--no-cache)"
+            f"sweep cache entry {path} holds {len(points)} points, but this "
+            f"sweep has {count}; {remedy}"
         )
-    if stored != fingerprint:
-        raise ParameterError(
-            f"sweep cache entry {path} belongs to a different sweep "
-            "(model/axes/fixed parameters/d_max/convention differ); delete "
-            "the file or rerun with the cache disabled (--no-cache)"
-        )
-    return tuple(
-        SweepPoint(
-            q=point["q"],
-            c=point["c"],
-            update_cost=point["update_cost"],
-            poll_cost=point["poll_cost"],
-            max_delay=_json_restore(point["max_delay"]),
-            optimal_d=int(point["optimal_d"]),
-            total_cost=point["total_cost"],
-            update_component=point["update_component"],
-            paging_component=point["paging_component"],
-            expected_delay=point["expected_delay"],
-        )
-        for point in payload["points"]
-    )
-
-
-def _store_cached_points(
-    path: Path, fingerprint: dict, points: Sequence[SweepPoint]
-) -> None:
-    """Atomically persist a solved sweep: write-to-temp + rename."""
-    payload = {
-        "fingerprint": fingerprint,
-        "points": [
-            {
-                "q": p.q,
-                "c": p.c,
-                "update_cost": p.update_cost,
-                "poll_cost": p.poll_cost,
-                "max_delay": _json_safe(p.max_delay),
-                "optimal_d": p.optimal_d,
-                "total_cost": p.total_cost,
-                "update_component": p.update_component,
-                "paging_component": p.paging_component,
-                "expected_delay": p.expected_delay,
-            }
-            for p in points
-        ],
-    }
-    atomic_write_json(path, payload)
+    return points
 
 
 # ----------------------------------------------------------------------
@@ -431,13 +370,18 @@ def grid_sweep(
         "m": validate_delay(max_delay),
     }
 
+    # Row-major enumeration of the grid (last axis fastest).
+    combos: List[Dict[str, float]] = [fixed]
+    for param, values in canonical:
+        combos = [dict(combo, **{param: v}) for combo in combos for v in values]
+
     obs = _observability()
     cache_file: Optional[Path] = None
     fingerprint: Optional[dict] = None
     if cache_dir is not None and plan_factory is None:
         fingerprint = _grid_fingerprint(model_name, canonical, fixed, d_max, convention)
         cache_file = _cache_path(Path(cache_dir), fingerprint)
-        cached = _load_cached_points(cache_file, fingerprint)
+        cached = _load_cached_points(cache_file, fingerprint, len(combos))
         if cached is not None:
             obs.registry.counter(
                 "sweep_cache_hits_total", model=model_name
@@ -454,26 +398,6 @@ def grid_sweep(
             "sweep_cache_misses_total", model=model_name
         ).inc()
 
-    # Row-major enumeration of the grid (last axis fastest).
-    combos: List[Dict[str, float]] = [{}]
-    for param, values in canonical:
-        combos = [dict(combo, **{param: v}) for combo in combos for v in values]
-
-    def job_args(index: int) -> tuple:
-        combo = combos[index]
-        return (
-            index,
-            model_name,
-            combo.get("q", fixed["q"]),
-            combo.get("c", fixed["c"]),
-            combo.get("U", fixed["U"]),
-            combo.get("V", fixed["V"]),
-            combo.get("m", fixed["m"]),
-            d_max,
-            convention,
-            plan_factory,
-        )
-
     solved: Dict[int, SweepPoint] = {}
     with obs.tracer.span(
         "analysis.grid_sweep",
@@ -482,11 +406,7 @@ def grid_sweep(
         workers=pool_size or 1,
         d_max=d_max,
     ):
-        if pool_size is None:
-            for index in range(len(combos)):
-                i, point = _solve_grid_point(*job_args(index))
-                solved[i] = point
-        else:
+        if pool_size is not None:
             try:
                 pickle.dumps(plan_factory)
             except Exception as exc:
@@ -496,20 +416,21 @@ def grid_sweep(
                     "a module-level function rather than a lambda "
                     f"({exc})"
                 ) from exc
-            with ProcessPoolExecutor(
-                max_workers=min(pool_size, len(combos))
-            ) as pool:
-                futures = [
-                    pool.submit(_solve_grid_point, *job_args(index))
-                    for index in range(len(combos))
-                ]
-                for future in as_completed(futures):
-                    i, point = future.result()
-                    solved[i] = point
+        fan_out(
+            _solve_grid_point,
+            [
+                (index, model_name, *(combo[k] for k in _GRID_PARAMS), d_max,
+                 convention, plan_factory)
+                for index, combo in enumerate(combos)
+            ],
+            pool_size, solved.__setitem__,
+        )
 
     points = tuple(solved[i] for i in range(len(combos)))
     if cache_file is not None and fingerprint is not None:
-        _store_cached_points(cache_file, fingerprint, points)
+        write_state(cache_file, fingerprint, points=[
+            dict(asdict(p), max_delay=json_safe(p.max_delay)) for p in points
+        ])
     return GridSweepResult(
         model_name=model_name,
         axes=canonical,

@@ -34,7 +34,8 @@ within the joint confidence interval or a 5% relative band, expressed
 as a normalized deviation with tolerance 1.0.  ``serial-vs-pooled`` is
 the exception: worker count must never change results, so it demands
 bit identity (tolerance 0.0) and only runs when the sampler grants a
-process pool (``pool_workers >= 2``, the full suite).
+process pool (``pool_workers >= 2``: one quick-suite config, and the
+full suite).
 
 The fleet oracles exercise the sharded engine's layout contracts:
 ``fleet-sharded-vs-single`` holds the seed fixed and re-runs the same

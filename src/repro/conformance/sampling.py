@@ -8,7 +8,9 @@ in how much simulation they buy:
 * ``quick`` -- per model: the paper's baseline anchor plus two seeded
   random draws (one per boundary convention).  Simulation-backed checks
   run on one small-budget config per *exact* geometry (line, hex,
-  square), keeping the whole suite in CI-PR territory.
+  square), keeping the whole suite in CI-PR territory; the first of
+  them uses a two-worker pool, so the ``serial-vs-pooled`` and
+  ``fleet-pooled-vs-inprocess`` bit-identity oracles run once.
 * ``full`` -- per model: the anchor plus six random draws, simulation
   on every exact geometry with a larger slot budget, and a
   process-pool configuration so the ``serial-vs-pooled`` bit-identity
@@ -109,8 +111,11 @@ def sample_suite(
             configs.append(_random_config(rng, model_name, convention, seed))
     sim_models = [name for name in selected if name in EXACT_CHAIN_MODELS]
     if suite == "quick":
-        for name in sim_models[:3]:
-            configs.append(_sim_config(name, seed, slots=40_000, replications=4))
+        for index, name in enumerate(sim_models[:3]):
+            configs.append(_sim_config(
+                name, seed, slots=40_000, replications=4,
+                pool_workers=2 if index == 0 else 0,
+            ))
     else:
         for name in sim_models:
             configs.append(_sim_config(name, seed, slots=80_000, replications=5))

@@ -59,12 +59,10 @@ bound at 100k terminals in CI and 1M+ nightly.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import shutil
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -80,7 +78,7 @@ from ..geometry.square import SquareTopology
 from ..geometry.topology import CellTopology
 from ..observability import context as _obs_context
 from ..paging import sdf_partition
-from ..persist import atomic_write_json
+from ..persist import indexed_entries, json_safe, read_state, write_state
 from ..workload.profiles import Population
 from .kernels import (
     _EVENT_MODES,
@@ -89,7 +87,7 @@ from .kernels import (
     terminal_keys,
     topology_code,
 )
-from .runner import _indexed_entries, _resolve_workers
+from .runner import _resolve_workers, fan_out
 from .vectorized import _Z95
 
 __all__ = [
@@ -129,10 +127,6 @@ def _model_class_for(topology: CellTopology):
         f"fleet engine supports LineTopology, HexTopology, and "
         f"SquareTopology; got {topology!r}"
     )
-
-
-def _json_delay(m) -> object:
-    return "inf" if m == math.inf else m
 
 
 def _validate_columns(
@@ -224,7 +218,7 @@ class FleetSpec:
             repr(
                 (
                     repr(self.topology),
-                    _json_delay(self.max_delay),
+                    json_safe(self.max_delay),
                     self.profile_names,
                     self.population_seed,
                     self.description,
@@ -891,7 +885,7 @@ def _fleet_fingerprint(
         "version": _FLEET_CHECKPOINT_VERSION,
         "population": spec.fingerprint(),
         "topology": repr(spec.topology),
-        "max_delay": _json_delay(spec.max_delay),
+        "max_delay": json_safe(spec.max_delay),
         "terminals": spec.count,
         "bounds": [[int(lo), int(hi)] for lo, hi in bounds],
         "slots": slots,
@@ -904,29 +898,16 @@ def _load_fleet_checkpoint(
     path: Path, fingerprint: dict
 ) -> Dict[int, ShardSnapshot]:
     """Read a fleet checkpoint, validating it belongs to this run."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"unreadable fleet checkpoint {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ParameterError(f"fleet checkpoint {path} is not a JSON object")
-    stored = payload.get("fingerprint") or {}
-    version = stored.get("version") if isinstance(stored, dict) else None
-    if version != _FLEET_CHECKPOINT_VERSION:
-        raise ParameterError(
-            f"fleet checkpoint {path} uses schema version {version!r}, but "
-            f"this library writes version {_FLEET_CHECKPOINT_VERSION}; "
-            "delete the file to restart (shard results are re-derivable -- "
-            "only compute time is lost)"
-        )
-    if stored != fingerprint:
-        raise ParameterError(
-            f"fleet checkpoint {path} belongs to a different run "
-            "(population/topology/shard layout/slots/seed differ); delete "
-            "it or point the run at a fresh path"
-        )
+    payload = read_state(
+        path, fingerprint, "fleet checkpoint",
+        "run (population/topology/shard layout/slots/seed differ)",
+        "delete it or point the run at a fresh path (shard results are "
+        "re-derivable -- only compute time is lost)",
+    )
+    if payload is None:
+        return {}
     bounds = fingerprint["bounds"]
-    shards = _indexed_entries(
+    shards = indexed_entries(
         payload.get("shards"), len(bounds),
         lambda entry: ShardSnapshot.from_dict(entry["snapshot"]),
         f"fleet checkpoint {path} shards",
@@ -940,21 +921,6 @@ def _load_fleet_checkpoint(
                 f"{bounds[index][1]}"
             )
     return shards
-
-
-def _write_fleet_checkpoint(
-    path: Path, fingerprint: dict, completed: Dict[int, ShardSnapshot]
-) -> None:
-    atomic_write_json(
-        path,
-        {
-            "fingerprint": fingerprint,
-            "shards": [
-                {"index": index, "snapshot": completed[index].to_dict()}
-                for index in sorted(completed)
-            ],
-        },
-    )
 
 
 # -- the fleet runner ---------------------------------------------------
@@ -1012,7 +978,7 @@ def run_fleet(
     fingerprint = _fleet_fingerprint(spec, bounds, slots, seed, event_mode)
     checkpoint_path = Path(checkpoint) if checkpoint is not None else None
     completed: Dict[int, ShardSnapshot] = {}
-    if checkpoint_path is not None and checkpoint_path.exists():
+    if checkpoint_path is not None:
         completed = _load_fleet_checkpoint(checkpoint_path, fingerprint)
     pending = [i for i in range(len(bounds)) if i not in completed]
 
@@ -1023,7 +989,10 @@ def run_fleet(
             payloads[index] = payload
         completed[index] = ShardSnapshot.from_dict(snapshot_dict)
         if checkpoint_path is not None:
-            _write_fleet_checkpoint(checkpoint_path, fingerprint, completed)
+            write_state(checkpoint_path, fingerprint, shards=[
+                {"index": i, "snapshot": completed[i].to_dict()}
+                for i in sorted(completed)
+            ])
 
     n_profiles = len(spec.profile_names)
 
@@ -1034,37 +1003,30 @@ def run_fleet(
         slots=slots,
         workers=pool_size or 1,
     ):
-        if pool_size is None:
-            source = {name: getattr(spec, name) for name in _SPEC_COLUMNS}
-            for index in pending:
-                lo, hi = bounds[index]
-                record(*_execute_shard(
-                    index, lo, hi, source, spec.topology, n_profiles,
-                    spec.max_delay, slots, seed, event_mode, observe,
-                    backend,
-                ))
-        elif pending:
+        # Pooled shards read their columns from memory-mapped spill
+        # files; in-process shards slice the spec's arrays directly.
+        spill_root = None
+        if pool_size is not None and pending:
             spill_root = tempfile.mkdtemp(
                 prefix="fleet-spill-",
                 dir=str(spill_dir) if spill_dir is not None else None,
             )
-            try:
-                source = _spill_spec(spec, Path(spill_root))
-                with ProcessPoolExecutor(
-                    max_workers=min(pool_size, len(pending))
-                ) as pool:
-                    futures = [
-                        pool.submit(
-                            _execute_shard,
-                            index, *bounds[index], source, spec.topology,
-                            n_profiles, spec.max_delay, slots, seed,
-                            event_mode, observe, backend,
-                        )
-                        for index in pending
-                    ]
-                    for future in as_completed(futures):
-                        record(*future.result())
-            finally:
+        try:
+            source = (
+                {name: getattr(spec, name) for name in _SPEC_COLUMNS}
+                if spill_root is None else _spill_spec(spec, Path(spill_root))
+            )
+            fan_out(
+                _execute_shard,
+                [
+                    (index, *bounds[index], source, spec.topology, n_profiles,
+                     spec.max_delay, slots, seed, event_mode, observe, backend)
+                    for index in pending
+                ],
+                pool_size, record,
+            )
+        finally:
+            if spill_root is not None:
                 shutil.rmtree(spill_root, ignore_errors=True)
         # Shard payloads (spans) merge after all shards finish, in
         # shard-index order -- as_completed order is nondeterministic,
@@ -1190,7 +1152,7 @@ def fleet_report(
             "backend_resolved": (
                 resolve_backend(backend) if backend != "numpy" else "numpy"
             ),
-            "max_delay": _json_delay(validate_delay(max_delay)),
+            "max_delay": json_safe(validate_delay(max_delay)),
             "topology": repr(spec.topology),
             "population": spec.profile_counts(),
             "population_fingerprint": result.spec_fingerprint,

@@ -11,10 +11,12 @@ Parallel execution
 ------------------
 
 ``run_replicated(..., workers=N)`` dispatches replications to a
-:class:`concurrent.futures.ProcessPoolExecutor`.  Every replication is
-seeded from the master :class:`numpy.random.SeedSequence` by its index
-alone, so the pooled result is **bit-identical** to a serial run of the
-same campaign -- parallelism changes wall-clock time, never numbers.
+:class:`concurrent.futures.ProcessPoolExecutor` through :func:`fan_out`
+(the one serial-or-pooled job loop, shared with the fleet and the
+sweep).  Every replication is seeded from the master
+:class:`numpy.random.SeedSequence` by its index alone, so the pooled
+result is **bit-identical** to a serial run of the same campaign --
+parallelism changes wall-clock time, never numbers.
 ``workers=None``, ``workers=1``, and ``workers="serial"`` all run
 in-process.  Worker processes need picklable arguments; pass
 ``functools.partial(DistanceStrategy, d, max_delay=m)`` rather than a
@@ -25,8 +27,7 @@ Crash safety
 
 Long validation sweeps should survive interruption instead of losing
 hours of work.  ``run_replicated(..., checkpoint=path)`` writes an
-atomic JSON checkpoint (write-to-temp + rename) after *every* finished
-replication -- in pooled runs, as each future completes, in whatever
+atomic :mod:`repro.persist` store after *every* finished replication -- in pooled runs, as each future completes, in whatever
 order they finish; rerunning the same call resumes from the completed
 indices and -- because replications are child-seeded deterministically
 from the master seed -- produces bit-identical pooled results to an
@@ -46,14 +47,13 @@ of the pool forever.
 
 from __future__ import annotations
 
-import json
 import math
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from ..core.parameters import CostParams, MobilityParams
 from ..exceptions import ParameterError
 from ..geometry.topology import Cell, CellTopology
 from ..observability import context as _obs_context
-from ..persist import atomic_write_json
+from ..persist import indexed_entries, read_state, write_state
 from ..strategies.base import UpdateStrategy
 from .engine import SimulationEngine, strategy_labels
 from .metrics import CostMeter, MeterSnapshot
@@ -198,36 +198,6 @@ def _campaign_fingerprint(
     return fingerprint
 
 
-def _indexed_entries(
-    entries, count: int, parse: Callable[[dict], object], what: str
-) -> Dict[int, object]:
-    """Parse checkpoint ``entries`` into ``{index: parse(entry)}``.
-
-    Refuses with :class:`ParameterError` whatever a resume must not
-    pool: a non-list, an entry without a usable ``index`` or payload,
-    an index outside ``range(count)``, and an index listed twice.
-    """
-    if not isinstance(entries, list):
-        raise ParameterError(
-            f"{what}: expected a list of entries, got {type(entries).__name__}"
-        )
-    parsed: Dict[int, object] = {}
-    for entry in entries:
-        try:
-            index = int(entry["index"])
-            value = parse(entry)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParameterError(f"{what}: malformed entry: {exc!r}") from exc
-        if not 0 <= index < count:
-            raise ParameterError(
-                f"{what}: index {index} is outside this run's 0..{count - 1}"
-            )
-        if index in parsed:
-            raise ParameterError(f"{what}: index {index} is listed twice")
-        parsed[index] = value
-    return parsed
-
-
 def _load_checkpoint(
     path: Path, fingerprint: dict
 ) -> Tuple[Dict[int, MeterSnapshot], Dict[int, PartialReplication]]:
@@ -235,37 +205,24 @@ def _load_checkpoint(
 
     Returns completed snapshots and deadline-truncated partials, both
     keyed by replication index (completion order is arbitrary under a
-    worker pool).
+    worker pool); both are empty when no checkpoint exists yet.
     """
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"unreadable checkpoint {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ParameterError(f"checkpoint {path} is not a JSON object")
-    stored = payload.get("fingerprint") or {}
-    version = stored.get("version") if isinstance(stored, dict) else None
-    if version != _CHECKPOINT_VERSION:
-        raise ParameterError(
-            f"checkpoint {path} uses schema version {version!r}, but this "
-            f"library writes version {_CHECKPOINT_VERSION} and cannot "
-            "resume older checkpoints; delete the file to restart the "
-            "campaign (child seeding is deterministic, so no statistical "
-            "ground is lost -- only compute time)"
-        )
-    if stored != fingerprint:
-        raise ParameterError(
-            f"checkpoint {path} belongs to a different campaign "
-            "(topology/strategy/start/seed/slots/replications/parameters "
-            "differ); delete it or point the run at a fresh path"
-        )
+    payload = read_state(
+        path, fingerprint, "checkpoint",
+        "campaign (topology/strategy/start/seed/slots/replications/"
+        "parameters differ)",
+        "delete it or point the run at a fresh path (child seeding is "
+        "deterministic, so no statistical ground is lost -- only compute time)",
+    )
+    if payload is None:
+        return {}, {}
     count = fingerprint["replications"]
-    completed = _indexed_entries(
+    completed = indexed_entries(
         payload.get("snapshots"), count,
         lambda entry: MeterSnapshot.from_dict(entry["snapshot"]),
         f"checkpoint {path} snapshots",
     )
-    partials = _indexed_entries(
+    partials = indexed_entries(
         payload.get("partials", []), count,
         lambda p: PartialReplication(
             index=int(p["index"]),
@@ -276,32 +233,6 @@ def _load_checkpoint(
         f"checkpoint {path} partials",
     )
     return completed, partials
-
-
-def _write_checkpoint(
-    path: Path,
-    fingerprint: dict,
-    completed: Dict[int, MeterSnapshot],
-    partials: Dict[int, PartialReplication],
-) -> None:
-    """Atomically persist campaign progress: write-to-temp + rename."""
-    payload = {
-        "fingerprint": fingerprint,
-        "snapshots": [
-            {"index": index, "snapshot": completed[index].to_dict()}
-            for index in sorted(completed)
-        ],
-        "partials": [
-            {
-                "index": p.index,
-                "completed_slots": p.completed_slots,
-                "target_slots": p.target_slots,
-                "snapshot": p.snapshot.to_dict(),
-            }
-            for _, p in sorted(partials.items())
-        ],
-    }
-    atomic_write_json(path, payload)
 
 
 def _resolve_workers(workers: Optional[Union[int, str]]) -> Optional[int]:
@@ -319,6 +250,26 @@ def _resolve_workers(workers: Optional[Union[int, str]]) -> Optional[int]:
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     return None if workers == 1 else workers
+
+
+def fan_out(task, jobs: Sequence[tuple], pool_size: Optional[int], record) -> None:
+    """Call ``record(*task(*args))`` for every ``args`` in ``jobs``.
+
+    ``pool_size=None`` runs in-process, in order; an int runs at most
+    that many worker processes and records results as they complete.
+    Tasks return their job's index first, so callers reassemble by index
+    and a pooled run equals a serial one.
+    """
+    if pool_size is None:
+        for args in jobs:
+            record(*task(*args))
+        return
+    if not jobs:
+        return
+    with ProcessPoolExecutor(max_workers=min(pool_size, len(jobs))) as pool:
+        futures = [pool.submit(task, *args) for args in jobs]
+        for future in as_completed(futures):
+            record(*future.result())
 
 
 def _execute_replication(
@@ -479,12 +430,11 @@ def run_replicated(
     checkpoint_path = Path(checkpoint) if checkpoint is not None else None
     completed: Dict[int, MeterSnapshot] = {}
     partials: Dict[int, PartialReplication] = {}
-    if checkpoint_path is not None and checkpoint_path.exists():
-        completed, stale_partials = _load_checkpoint(checkpoint_path, fingerprint)
+    if checkpoint_path is not None:
         # Deadline-truncated indices are retried rather than resumed:
         # this rerun may have a longer (or no) deadline, and re-running
         # is safe because the child seed depends only on the index.
-        del stale_partials
+        completed, _ = _load_checkpoint(checkpoint_path, fingerprint)
     master = np.random.SeedSequence(seed)
     children = master.spawn(replications)
     pending = [i for i in range(replications) if i not in completed]
@@ -508,14 +458,24 @@ def run_replicated(
             )
         else:
             completed[index] = snapshot
-        if checkpoint_path is not None:
-            _write_checkpoint(checkpoint_path, fingerprint, completed, partials)
-
-    def job_args(index: int) -> tuple:
-        return (
-            index, children[index], topology, strategy_factory, mobility,
-            costs, slots, start, event_mode, warmup_slots, replication_deadline,
-            observe, walker_factory,
+        if checkpoint_path is None:
+            return
+        write_state(
+            checkpoint_path,
+            fingerprint,
+            snapshots=[
+                {"index": i, "snapshot": completed[i].to_dict()}
+                for i in sorted(completed)
+            ],
+            partials=[
+                {
+                    "index": p.index,
+                    "completed_slots": p.completed_slots,
+                    "target_slots": p.target_slots,
+                    "snapshot": p.snapshot.to_dict(),
+                }
+                for _, p in sorted(partials.items())
+            ],
         )
 
     with parent_obs.tracer.span(
@@ -525,10 +485,7 @@ def run_replicated(
         slots=slots,
         strategy=strategy_repr,
     ):
-        if pool_size is None:
-            for index in pending:
-                record(*_execute_replication(*job_args(index)))
-        elif pending:
+        if pool_size is not None and pending:
             try:
                 pickle.dumps(
                     (topology, strategy_factory, mobility, costs, start,
@@ -542,15 +499,16 @@ def run_replicated(
                     "DistanceStrategy, d, max_delay=m) instead of a lambda "
                     f"({exc})"
                 ) from exc
-            with ProcessPoolExecutor(
-                max_workers=min(pool_size, len(pending))
-            ) as pool:
-                futures = [
-                    pool.submit(_execute_replication, *job_args(index))
-                    for index in pending
-                ]
-                for future in as_completed(futures):
-                    record(*future.result())
+        fan_out(
+            _execute_replication,
+            [
+                (index, children[index], topology, strategy_factory, mobility,
+                 costs, slots, start, event_mode, warmup_slots,
+                 replication_deadline, observe, walker_factory)
+                for index in pending
+            ],
+            pool_size, record,
+        )
         # Replication payloads are merged *after* all runs finish, in
         # replication-index order: ``as_completed`` yields futures in a
         # nondeterministic order, and float merging is only exactly

@@ -149,6 +149,50 @@ class TestCache:
         assert warm.points[1].max_delay == math.inf
 
 
+class TestCacheEntries:
+    """A cache entry is served only if it holds this sweep's every point."""
+
+    AXES = {"q": [0.05, 0.1], "U": [10, 100]}
+
+    def _refused(self, tmp_path, edit, match):
+        grid_sweep("2d-exact", self.AXES, d_max=20, cache_dir=tmp_path)
+        entry = next(tmp_path.glob("grid-*.json"))
+        entry.write_text(json.dumps(edit(json.loads(entry.read_text()))))
+        with pytest.raises(ParameterError, match=match):
+            grid_sweep("2d-exact", self.AXES, d_max=20, cache_dir=tmp_path)
+
+    def test_refuses_json_list(self, tmp_path):
+        self._refused(tmp_path, lambda payload: [payload], "JSON object")
+
+    def test_refuses_list_fingerprint(self, tmp_path):
+        def listed(payload):
+            payload["fingerprint"] = [payload["fingerprint"]]
+            return payload
+
+        self._refused(tmp_path, listed, "schema version None")
+
+    def test_refuses_missing_points(self, tmp_path):
+        def drop(payload):
+            del payload["points"]
+            return payload
+
+        self._refused(tmp_path, drop, "malformed point")
+
+    def test_refuses_point_without_total_cost(self, tmp_path):
+        def drop(payload):
+            del payload["points"][0]["total_cost"]
+            return payload
+
+        self._refused(tmp_path, drop, "malformed point")
+
+    def test_refuses_truncated_point_list(self, tmp_path):
+        def cut(payload):
+            payload["points"] = payload["points"][:1]
+            return payload
+
+        self._refused(tmp_path, cut, "holds 1 points, but this sweep has 4")
+
+
 class TestSweepWrapper:
     def test_sweep_matches_grid_sweep(self):
         legacy = sweep("2d-approx", "U", [20.0, 50.0], d_max=15)
